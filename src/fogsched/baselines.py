@@ -136,7 +136,7 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     order = sorted(tasks, key=lambda t: (t.submit_time, t.id))
     capable = [[j for j, n in enumerate(by_id) if t.npe <= n.npe_slots] for t in order]
     placeable = [i for i, c in enumerate(capable) if c]
-    for i, c in zip(range(len(order)), capable):
+    for i, c in enumerate(capable):
         if not c:
             sched.failed.append(order[i].id)
             sched.cb += 1
@@ -150,9 +150,9 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     # Per-(task, node) execution time and energy at full speed; incapable
     # pairs never get decoded so their values are irrelevant.
     lengths = np.array([order[i].length for i in placeable], dtype=float)
-    submits = np.array([order[i].submit_time for i in placeable])
+    submits = [order[i].submit_time for i in placeable]
     deadlines = np.array([order[i].deadline for i in placeable])
-    npes = np.array([order[i].npe for i in placeable])
+    npes = [order[i].npe for i in placeable]
     mips = np.array([n.mips for n in by_id])
     powers = np.array([active_power(n, 1.0) for n in by_id])
     ext = lengths[:, None] / mips[None, :]
@@ -162,30 +162,49 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     if penalty is None:
         penalty = 10.0 * float(energy.max())
 
-    cand = [np.array(capable[i]) for i in placeable]
-    hi = np.array([len(c) - 1 for c in cand], dtype=float)
+    # cand[t, c] is the node index of task t's c-th capable node.
+    cand = np.zeros((dims, max(len(capable[i]) for i in placeable)), dtype=int)
+    for t, i in enumerate(placeable):
+        cand[t, : len(capable[i])] = capable[i]
+    hi = np.array([len(capable[i]) - 1 for i in placeable], dtype=float)
+    tix = np.arange(dims)
+    fresh = np.full((m, max_slots), np.inf)
+    for j in range(m):
+        fresh[j, : int(slots[j])] = 0.0
 
     def fitness(pos: np.ndarray) -> np.ndarray:
-        """Vectorized over the swarm: decode, place, score every particle."""
+        """Vectorized over the swarm: decode every particle by clamped
+        rounding, place it, and return its energy plus penalty per missed
+        deadline.
+
+        Lanes are one flat (particles * m, max_slots) array, row
+        particle * m + node, each row kept ascending so the k-th free slot
+        is column k - 1. Equal lane values are interchangeable, so every
+        completion time has the bits of a plain k-smallest update.
+        """
         s = pos.shape[0]
-        idx = np.clip(np.rint(pos), 0.0, hi[None, :]).astype(int)
-        lanes = np.full((s, m, max_slots), np.inf)
-        for j in range(m):
-            lanes[:, j, : int(slots[j])] = 0.0
-        rows_i = np.arange(s)
-        total = np.zeros(s)
-        misses = np.zeros(s, dtype=int)
+        node = cand[tix, np.clip(np.rint(pos), 0.0, hi[None, :]).astype(int)]
+        # cumsum adds in task order; np.sum's pairwise order changes bits.
+        total = np.cumsum(energy[tix, node], axis=1)[:, -1]
+        ext_of = ext[tix, node].T.copy()
+        node += m * np.arange(s)[:, None]
+        lane_of = node.T.copy()
+        del node
+        # Not np.tile: it keeps ~120 KB more memory resident after a few
+        # hundred calls.
+        lanes = np.repeat(fresh[None], s, axis=0).reshape(s * m, max_slots)
+        ct = np.empty((dims, s))
         for t in range(dims):
-            node = cand[t][idx[:, t]]
-            k = int(npes[t])
-            rows = lanes[rows_i, node]
-            ordering = np.argsort(rows, axis=1)
-            kth = np.take_along_axis(rows, ordering[:, k - 1 : k], axis=1).ravel()
-            start = np.maximum(submits[t], kth)
-            ct = start + ext[t, node]
-            misses += ct > deadlines[t]
-            lanes[rows_i[:, None], node[:, None], ordering[:, :k]] = ct[:, None]
-            total += energy[t, node]
+            rows = lane_of[t]
+            k = npes[t]
+            lane = lanes.take(rows, axis=0)
+            done = ct[t]
+            np.maximum(lane[:, k - 1], submits[t], out=done)
+            done += ext_of[t]
+            lane[:, :k] = done[:, None]
+            lane.sort(axis=1)
+            lanes[rows] = lane
+        misses = (ct > deadlines[:, None]).sum(axis=0)
         return total + penalty * misses
 
     rng = np.random.default_rng(seed)
@@ -214,5 +233,5 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     chosen = np.clip(np.rint(gbest), 0.0, hi).astype(int)
     lanes = _fresh_lanes(nodes)
     for t, i in enumerate(placeable):
-        _place(lanes, order[i], by_id[int(cand[t][chosen[t]])], sched)
+        _place(lanes, order[i], by_id[int(cand[t, chosen[t]])], sched)
     return sched

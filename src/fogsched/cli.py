@@ -70,6 +70,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown emit kind {e!r}")
         if self.sweep not in (None, "paper"):
             raise ValueError(f"unknown sweep {self.sweep!r}")
+        if self.detection not in sim.DETECTION_MODES:
+            raise ValueError(f"unknown detection mode {self.detection!r}")
+        self.pso.validate()
 
 
 def _schedule_for(algorithm: str, inst: Instance, cfg: ExperimentConfig,

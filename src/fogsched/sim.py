@@ -32,6 +32,9 @@ class EventKind(str, Enum):
     BACKUP_DISPATCH = "backup_dispatch"
 
 
+# When a primary fault is noticed; see run().
+DETECTION_MODES = ("immediate", "at_completion")
+
 # Tie order for simultaneous events.
 _RANK = {EventKind.COMPLETION: 0, EventKind.FAULT: 1, EventKind.ARRIVAL: 2,
          EventKind.START: 3, EventKind.BACKUP_DISPATCH: 4}
@@ -92,7 +95,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     node and dispatches the backup at the fault instant; "at_completion"
     holds the slot and dispatches at the primary's planned completion.
     """
-    if detection not in ("immediate", "at_completion"):
+    if detection not in DETECTION_MODES:
         raise ValueError(f"unknown detection mode {detection!r}")
     tasks_by_id = {t.id: t for t in instance.tasks}
     nodes_by_id = {n.id: n for n in instance.nodes}

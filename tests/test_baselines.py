@@ -1,13 +1,18 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node, make_task
+from fogsched import sim
 from fogsched.baselines import (PsoConfig, fcfs_schedule, pso_schedule,
                                 rr_schedule, sjf_schedule)
-from fogsched.model import DvfsConfig, Phase
+from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
+from fogsched.reliability import FaultSampler
 from fogsched.workload import WorkloadSpec, generate
 
 
@@ -157,3 +162,94 @@ def test_baselines_deterministic():
                                  submit_mode="uniform", submit_horizon=3.0))
     for build in (fcfs_schedule, sjf_schedule, rr_schedule):
         assert build(inst.tasks, inst.nodes) == build(inst.tasks, inst.nodes)
+
+
+def _mixed_capacity_tasks_nodes():
+    """Nodes of 1, 2 and 4 slots: npe 3-4 fits only node 3, npe 5-8 none."""
+    nodes = [make_node(id=1, mips=1500.0, npe_slots=1),
+             make_node(id=2, mips=1100.0, npe_slots=2),
+             make_node(id=3, mips=1800.0, npe_slots=4)]
+    npes = [1, 3, 2, 5, 4, 1, 8, 2, 1, 4, 3, 1]
+    tasks = [make_task(id=i + 1, length=1000 + 97 * i, npe=npe,
+                       submit_time=0.05 * (i % 4), deadline=1.0 + 0.3 * i)
+             for i, npe in enumerate(npes)]
+    return tasks, nodes
+
+
+def _generated(**kw):
+    inst = generate(WorkloadSpec(**kw))
+    return inst.tasks, inst.nodes
+
+
+# Fixed digests of pso_schedule output: a faster fitness kernel must
+# reproduce them bit for bit, or results.csv changes. "sum-order" changes
+# if energy is summed in any order other than task order.
+PSO_GOLDEN = [
+    ("one-vm", lambda: _generated(n_tasks=12, n_vms=1, seed=1),
+     PsoConfig(swarm_size=8, iterations=10), 3, "b5bd49f43243a92a"),
+    ("24-vms", lambda: _generated(n_tasks=60, n_vms=24, seed=2, submit_mode="uniform",
+                                  submit_horizon=0.2, slack_factor_range=(1.05, 1.6)),
+     PsoConfig(swarm_size=10, iterations=15), 4, "a7f8c042b99c3fa9"),
+    ("swarm-of-2", lambda: _generated(n_tasks=20, n_vms=3, seed=3),
+     PsoConfig(swarm_size=2, iterations=30), 5, "ecdcfbadb3b0b763"),
+    ("mixed-capacity", _mixed_capacity_tasks_nodes,
+     PsoConfig(swarm_size=6, iterations=12), 6, "37b88f3ebb28000b"),
+    ("all-incapable", lambda: ([make_task(id=i, npe=2) for i in (1, 2, 3)],
+                               [make_node(id=1), make_node(id=2)]),
+     PsoConfig(), 7, "37aa6f4b36353302"),
+    ("default-config", lambda: _generated(n_tasks=40, n_vms=5, seed=7,
+                                          submit_mode="uniform", submit_horizon=0.5),
+     PsoConfig(), 8, "dcc688f4b3eccbc0"),
+    ("fixed-penalty", lambda: _generated(n_tasks=30, n_vms=2, seed=9,
+                                         slack_factor_range=(1.05, 1.2)),
+     PsoConfig(swarm_size=5, iterations=8, penalty=0.5), 9, "130462665e25654a"),
+    ("sum-order", lambda: _generated(n_tasks=8, n_vms=2, seed=8),
+     PsoConfig(swarm_size=10, iterations=20), 2, "7e0b25fe99e7bf8a"),
+    ("deadline-met-exactly",
+     lambda: ([make_task(id=i, deadline=0.5 * i) for i in (1, 2, 3)],
+              [make_node(id=1), make_node(id=2, mips=2000.0)]),
+     PsoConfig(swarm_size=4, iterations=6), 12, "2c902a7a819550b5"),
+    ("8-vms-uniform", lambda: _generated(n_tasks=25, n_vms=8, seed=10,
+                                         submit_mode="uniform", submit_horizon=0.3),
+     PsoConfig(swarm_size=12, iterations=20), 11, "b151d3663e77289a"),
+]
+
+
+def _pso_digest(sched) -> str:
+    rows = [(e.task_id, e.node_id, e.start, e.completion) for e in sched.entries]
+    return hashlib.sha256(repr((rows, sched.failed)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,build,cfg,seed,digest", PSO_GOLDEN,
+                         ids=[case[0] for case in PSO_GOLDEN])
+def test_pso_matches_golden_digest(name, build, cfg, seed, digest):
+    tasks, nodes = build()
+    assert _pso_digest(pso_schedule(tasks, nodes, cfg, seed=seed)) == digest
+
+
+@st.composite
+def small_instances(draw):
+    """Up to 4 nodes of 1-4 slots and 10 tasks of npe 1-6, so some tasks
+    fit one node only and some fit none; no faults."""
+    nodes = [make_node(id=j + 1, mips=float(draw(st.integers(1000, 2000))),
+                       npe_slots=draw(st.integers(1, 4)))
+             for j in range(draw(st.integers(1, 4)))]
+    tasks = []
+    for i in range(draw(st.integers(1, 10))):
+        submit = draw(st.floats(0.0, 1.0))
+        tasks.append(make_task(id=i + 1, length=draw(st.integers(500, 2000)),
+                               npe=draw(st.integers(1, 6)), submit_time=submit,
+                               deadline=submit + draw(st.floats(0.1, 3.0))))
+    return validate_instance(tasks, nodes, DvfsConfig((1.0,)),
+                             FaultModel(lambda0=0.0, d=3.0, f_min=0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(), swarm=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_pso_places_each_task_once_within_node_capacity(inst, swarm, seed):
+    sched = pso_schedule(inst.tasks, inst.nodes,
+                         PsoConfig(swarm_size=swarm, iterations=5), seed=seed)
+    placed = [e.task_id for e in sched.entries]
+    assert sorted(placed + sched.failed) == sorted(t.id for t in inst.tasks)
+    trace, _ = sim.run(sched, inst, inst.fault_model, FaultSampler(seed))
+    assert sim.check_capacity(trace, inst) == []

@@ -147,6 +147,20 @@ def test_verify_broken_dvfs_names_invariant(tmp_path, capsys):
     assert "strictly increasing" in out or "contain 1.0" in out
 
 
+@pytest.mark.parametrize("doc,needle", [
+    ({"pso": {"swarm_size": 1}}, "swarm_size"),
+    ({"detection": "bogus"}, "bogus"),
+])
+def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**doc, "workload": {"n_tasks": 4, "n_vms": 2}}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("fogsched:") and needle in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cfg_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=()).validate()
