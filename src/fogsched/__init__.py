@@ -10,19 +10,15 @@ from .model import (DvfsConfig, FaultEvent, FaultModel, FogNode, Instance,
                     ScheduleEntry, Task, Violation, check_instance,
                     dumps_instance, load_instance, save_instance,
                     validate_instance)
-from .power import (PowerSample, dynamic_power, entry_energy, operating_point,
-                    scaled_vf, schedule_energy, total_power_full)
+from .power import dynamic_power, entry_energy, scaled_vf, schedule_energy
 from .reliability import (FaultSampler, cpb_exec_time, fault_probability,
-                          fault_rate_freq, fault_rate_volt, reliability,
-                          sample_fault)
-from .gap import (DEFAULT_DVFS_LEVELS, GapConfig, GapState, Payoff, edf_sort,
-                  exec_time, gap_candidates, gap_schedule, map_backups,
-                  map_primaries, payoff, wgap_schedule)
+                          fault_rate_freq, fault_rate_volt, reliability)
+from .gap import (GapConfig, GapState, edf_sort, exec_time, gap_schedule,
+                  map_backups, map_primaries, payoff, wgap_schedule)
 from .baselines import (PsoConfig, fcfs_schedule, pso_schedule, rr_schedule,
                         sjf_schedule)
-from .sim import (Event, EventKind, RunTrace, TaskStatus, averages,
-                  check_capacity, completion_time, report, run, wait_time,
-                  write_trace)
+from .sim import (Event, EventKind, RunTrace, TaskStatus, check_capacity,
+                  report, run, write_trace)
 from .workload import (DEFAULT_DVFS, DEFAULT_FAULT_MODEL, WorkloadSpec,
                        generate, paper_sweep)
 from .oracle import OracleResult, exhaustive

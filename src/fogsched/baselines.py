@@ -9,11 +9,11 @@ earliest slot time of its node.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gap import GapState
 from .model import FogNode, Phase, Schedule, ScheduleEntry, Task
 from .power import active_power
 
@@ -46,43 +46,34 @@ class PsoConfig:
             raise ValueError("penalty must be > 0")
 
 
-def _fresh_lanes(nodes: list[FogNode]) -> dict[int, list[float]]:
-    return {n.id: [0.0] * n.npe_slots for n in nodes}
-
-
-def _place(lanes: dict[int, list[float]], task: Task, node: FogNode,
-           sched: Schedule) -> None:
-    lane = lanes[node.id]
-    avail = lane[task.npe - 1]
+def _place(state: GapState, task: Task, node: FogNode, sched: Schedule) -> None:
+    avail = state.node_free[node.id][task.npe - 1]
     start = avail if avail > task.submit_time else task.submit_time
     ext = task.length / node.mips
     entry = ScheduleEntry.make(task.id, node.id, start, ext, 1.0, Phase.PRIMARY)
     sched.entries.append(entry)
     sched.assignment[task.id] = node.id
-    del lane[:task.npe]
-    for _ in range(task.npe):
-        insort(lane, entry.completion)
+    state.occupy(node.id, task.npe, entry.completion)
 
 
 def _list_schedule(ordered: list[Task], nodes: list[FogNode]) -> Schedule:
     """Greedy placement on the earliest-available capable node (tie: lower id)."""
     sched = Schedule(selected_rho=1.0)
     by_id = sorted(nodes, key=lambda n: n.id)
-    lanes = _fresh_lanes(nodes)
+    state = GapState.fresh(nodes)
     for task in ordered:
         best = None  # (start, node)
         for node in by_id:
             if task.npe > node.npe_slots:
                 continue
-            avail = lanes[node.id][task.npe - 1]
+            avail = state.node_free[node.id][task.npe - 1]
             start = avail if avail > task.submit_time else task.submit_time
             if best is None or start < best[0]:
                 best = (start, node)
         if best is None:
             sched.failed.append(task.id)
-            sched.cb += 1
             continue
-        _place(lanes, task, best[1], sched)
+        _place(state, task, best[1], sched)
     return sched
 
 
@@ -103,7 +94,7 @@ def rr_schedule(tasks: list[Task], nodes: list[FogNode]) -> Schedule:
     """
     sched = Schedule(selected_rho=1.0)
     by_id = sorted(nodes, key=lambda n: n.id)
-    lanes = _fresh_lanes(nodes)
+    state = GapState.fresh(nodes)
     m = len(by_id)
     for i, task in enumerate(sorted(tasks, key=lambda t: (t.submit_time, t.id))):
         node = None
@@ -114,9 +105,8 @@ def rr_schedule(tasks: list[Task], nodes: list[FogNode]) -> Schedule:
                 break
         if node is None:
             sched.failed.append(task.id)
-            sched.cb += 1
             continue
-        _place(lanes, task, node, sched)
+        _place(state, task, node, sched)
     return sched
 
 
@@ -139,7 +129,6 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     for i, c in enumerate(capable):
         if not c:
             sched.failed.append(order[i].id)
-            sched.cb += 1
     if not placeable:
         return sched
 
@@ -231,7 +220,7 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
             gbest_fit = float(pbest_fit[g])
 
     chosen = np.clip(np.rint(gbest), 0.0, hi).astype(int)
-    lanes = _fresh_lanes(nodes)
+    state = GapState.fresh(nodes)
     for t, i in enumerate(placeable):
-        _place(lanes, order[i], by_id[int(cand[t, chosen[t]])], sched)
+        _place(state, order[i], by_id[int(cand[t, chosen[t]])], sched)
     return sched

@@ -222,7 +222,15 @@ def _write_charts(rows: list[dict], out: Path) -> None:
 # configuration file and flag plumbing
 # ---------------------------------------------------------------------------
 
+CONFIG_KEYS = ("algorithms", "workload", "instance", "sweep", "fault_model",
+               "dvfs", "seeds", "output_dir", "emit", "master_seed", "pso",
+               "detection")
+
+
 def _config_from_dict(doc: dict) -> ExperimentConfig:
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     cfg = ExperimentConfig()
     if "algorithms" in doc:
         cfg.algorithms = tuple(doc["algorithms"])
@@ -325,16 +333,12 @@ def _load_config_file(path: str | None) -> ExperimentConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _apply_flags(_load_config_file(args.config), args)
+        cfg.validate()
     except OSError as exc:
         print(f"fogsched: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except (KeyError, TypeError, ValueError) as exc:
         print(f"fogsched: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"fogsched: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         run_experiment(cfg)

@@ -23,26 +23,6 @@ from .model import (DvfsConfig, FaultModel, FogNode, Phase, Schedule,
                     ScheduleEntry, Task)
 from .power import active_power, schedule_energy
 
-DEFAULT_DVFS_LEVELS = (0.6, 0.7, 0.8, 0.9, 1.0)
-
-INFEASIBLE_VALUE = float("-inf")
-
-
-@dataclass(frozen=True)
-class Payoff:
-    """Score of running a task on a node; infeasible compares below all."""
-
-    value: float
-    slack_norm: float = 0.0
-    energy_norm: float = 0.0
-
-    @property
-    def feasible(self) -> bool:
-        return self.value != INFEASIBLE_VALUE
-
-
-INFEASIBLE = Payoff(INFEASIBLE_VALUE)
-
 
 @dataclass(frozen=True)
 class GapConfig:
@@ -63,19 +43,14 @@ class GapState:
     (submit time, or the fault detection instant for runtime backups).
     """
 
-    lt: list[Task] = field(default_factory=list)
-    lct: dict[int, float] = field(default_factory=dict)
     backup_queue: list[Task] = field(default_factory=list)
     remaining: dict[int, float] = field(default_factory=dict)
     ready: dict[int, float] = field(default_factory=dict)
     node_free: dict[int, list[float]] = field(default_factory=dict)
-    cp: int = 0
-    cb: int = 0
 
     @classmethod
-    def fresh(cls, tasks: list[Task], nodes: list[FogNode]) -> "GapState":
-        return cls(lt=edf_sort(tasks),
-                   node_free={n.id: [0.0] * n.npe_slots for n in nodes})
+    def fresh(cls, nodes: list[FogNode]) -> "GapState":
+        return cls(node_free={n.id: [0.0] * n.npe_slots for n in nodes})
 
     def occupy(self, node_id: int, npe: int, completion: float) -> None:
         lanes = self.node_free[node_id]
@@ -111,39 +86,68 @@ def edf_sort(tasks: list[Task]) -> list[Task]:
     return sorted(tasks, key=lambda t: (t.deadline, t.submit_time, t.id))
 
 
-def payoff(task: Task, node: FogNode, rho: float, state: GapState,
-           config: GapConfig = GapConfig()) -> Payoff:
-    """Score of placing `task` on `node` at rho given the current state.
-
-    The candidate start is the later of the task's ready time and the node's
-    k-th free slot. A completion past the deadline is infeasible; otherwise
-    the value is weighted normalized slack minus the energy of this run
-    normalized by the same run at full speed.
-    """
-    if task.npe > node.npe_slots:
-        return INFEASIBLE
-    ready = state.ready.get(task.id, task.submit_time)
-    lane_t = state.node_free[node.id][task.npe - 1]
-    start = lane_t if lane_t > ready else ready
-    ext = task.length / (node.mips * rho)
-    ct = start + ext
-    if ct > task.deadline:
-        return INFEASIBLE
-    slack_norm = (task.deadline - ct) / task.deadline
-    energy = active_power(node, rho) * ext
-    energy_full = active_power(node, 1.0) * (task.length / node.mips)
-    energy_norm = energy / energy_full
-    value = config.slack_weight * slack_norm - config.energy_weight * energy_norm
-    return Payoff(value, slack_norm, energy_norm)
-
-
-def _node_tables(nodes: list[FogNode], rho: float):
+def _node_table(nodes: list[FogNode], rho: float):
     """Per-node constants reused across payoff evaluations at one level."""
     return [
         (n.id, n.npe_slots, n.mips * rho, n.mips,
          active_power(n, rho), active_power(n, 1.0))
         for n in nodes
     ]
+
+
+def _best_node(task: Task, table, state: GapState, config: GapConfig,
+               exclude: int | None = None, budget: float = math.inf):
+    """The best-payoff placement of `task` over a node table, or None.
+
+    The candidate start is the later of the task's ready time and the node's
+    k-th free slot. A node is skipped when it is `exclude`, lacks the slots,
+    would need at least `budget` seconds, or would complete past the
+    deadline. The value is weighted normalized slack minus the energy of
+    this run normalized by the same run at full speed; ties break on lower
+    energy, then on table order. Returns (value, energy, node_id, start, ext).
+    """
+    length = task.length
+    deadline = task.deadline
+    npe = task.npe
+    ready = state.ready.get(task.id, task.submit_time)
+    w_s, w_e = config.slack_weight, config.energy_weight
+    node_free = state.node_free
+    best = None
+    for node_id, slots, mips_rho, mips, p_rho, p_full in table:
+        if node_id == exclude or npe > slots:
+            continue
+        ext = length / mips_rho
+        if ext >= budget:  # strict fit inside the remaining budget
+            continue
+        lane_t = node_free[node_id][npe - 1]
+        start = lane_t if lane_t > ready else ready
+        ct = start + ext
+        if ct > deadline:
+            continue
+        energy = p_rho * ext
+        value = w_s * ((deadline - ct) / deadline) \
+            - w_e * (energy / (p_full * (length / mips)))
+        if best is None or value > best[0] or (value == best[0] and energy < best[1]):
+            best = (value, energy, node_id, start, ext)
+    return best
+
+
+def payoff(task: Task, node: FogNode, rho: float, state: GapState,
+           config: GapConfig = GapConfig()) -> float:
+    """Payoff of placing `task` on `node` at rho given the current state;
+    -inf when the placement misses the deadline or the node lacks slots."""
+    best = _best_node(task, _node_table([node], rho), state, config)
+    return -math.inf if best is None else best[0]
+
+
+def _place(sched: Schedule, state: GapState, task: Task, best, rho: float,
+           phase: Phase) -> ScheduleEntry:
+    _, _, node_id, start, ext = best
+    entry = ScheduleEntry.make(task.id, node_id, start, ext, rho, phase)
+    sched.entries.append(entry)
+    sched.assignment[task.id] = node_id
+    state.occupy(node_id, task.npe, entry.completion)
+    return entry
 
 
 def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
@@ -157,42 +161,15 @@ def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
     break on lower energy, then lower node id.
     """
     sched = Schedule(selected_rho=rho)
-    table = _node_tables(sorted(nodes, key=lambda n: n.id), rho)
-    w_s, w_e = config.slack_weight, config.energy_weight
-    node_free = state.node_free
+    table = _node_table(sorted(nodes, key=lambda n: n.id), rho)
     for task in tasks:
-        length = task.length
-        deadline = task.deadline
-        npe = task.npe
-        ready = state.ready.get(task.id, task.submit_time)
-        best = None  # (value, energy, node_id, start, ext)
-        for node_id, slots, mips_rho, mips, p_rho, p_full in table:
-            if npe > slots:
-                continue
-            lane_t = node_free[node_id][npe - 1]
-            start = lane_t if lane_t > ready else ready
-            ext = length / mips_rho
-            ct = start + ext
-            if ct > deadline:
-                continue
-            energy = p_rho * ext
-            value = w_s * ((deadline - ct) / deadline) \
-                - w_e * (energy / (p_full * (length / mips)))
-            if best is None or value > best[0] or (value == best[0] and energy < best[1]):
-                best = (value, energy, node_id, start, ext)
+        best = _best_node(task, table, state, config)
         if best is None:
             state.backup_queue.append(task)
             state.remaining[task.id] = task.deadline - task.submit_time
-            state.cp += 1
             sched.backup_list.append(task.id)
-            sched.cp += 1
             continue
-        _, _, node_id, start, ext = best
-        entry = ScheduleEntry.make(task.id, node_id, start, ext, rho, Phase.PRIMARY)
-        sched.entries.append(entry)
-        sched.assignment[task.id] = node_id
-        state.occupy(node_id, npe, entry.completion)
-        state.lct[task.id] = entry.completion
+        entry = _place(sched, state, task, best, rho, Phase.PRIMARY)
         state.remaining[task.id] = task.deadline - entry.completion
     return sched
 
@@ -211,69 +188,16 @@ def map_backups(backup_queue: list[Task], nodes: list[FogNode], rho: float,
     sched = Schedule(selected_rho=rho)
     queue = sorted(backup_queue,
                    key=lambda t: (state.remaining.get(t.id, t.deadline - t.submit_time), t.id))
-    table = _node_tables(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho)
-    w_s, w_e = config.slack_weight, config.energy_weight
-    node_free = state.node_free
+    table = _node_table(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho)
     for task in queue:
-        length = task.length
-        deadline = task.deadline
-        npe = task.npe
-        ready = state.ready.get(task.id, task.submit_time)
         budget = state.remaining.get(task.id, task.deadline - task.submit_time)
-        exclude = primary_assignment.get(task.id)
-        best = None
-        for node_id, slots, mips_rho, mips, p_rho, p_full in table:
-            if node_id == exclude or npe > slots:
-                continue
-            ext = length / mips_rho
-            if ext >= budget:  # strict fit inside the remaining budget
-                continue
-            lane_t = node_free[node_id][npe - 1]
-            start = lane_t if lane_t > ready else ready
-            ct = start + ext
-            if ct > deadline:
-                continue
-            energy = p_rho * ext
-            value = w_s * ((deadline - ct) / deadline) \
-                - w_e * (energy / (p_full * (length / mips)))
-            if best is None or value > best[0] or (value == best[0] and energy < best[1]):
-                best = (value, energy, node_id, start, ext)
+        best = _best_node(task, table, state, config,
+                          primary_assignment.get(task.id), budget)
         if best is None:
             sched.failed.append(task.id)
-            sched.cb += 1
-            state.cb += 1
             continue
-        _, _, node_id, start, ext = best
-        entry = ScheduleEntry.make(task.id, node_id, start, ext, rho, Phase.BACKUP)
-        sched.entries.append(entry)
-        sched.assignment[task.id] = node_id
-        state.occupy(node_id, npe, entry.completion)
-        state.lct[task.id] = entry.completion
+        _place(sched, state, task, best, rho, Phase.BACKUP)
     return sched
-
-
-def _candidate(tasks: list[Task], nodes: list[FogNode], rho: float,
-               config: GapConfig) -> tuple[Schedule, float]:
-    state = GapState.fresh(tasks, nodes)
-    part1 = map_primaries(state.lt, nodes, rho, state, config)
-    part2 = map_backups(state.backup_queue, nodes, rho, state, part1.assignment, config)
-    sched = Schedule(
-        entries=part1.entries + part2.entries,
-        assignment={**part1.assignment, **part2.assignment},
-        selected_rho=rho,
-        backup_list=part1.backup_list,
-        failed=part2.failed,
-        cp=part1.cp,
-        cb=part2.cb,
-    )
-    energy = schedule_energy({n.id: n for n in nodes}, sched.entries)
-    return sched, energy
-
-
-def gap_candidates(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
-                   config: GapConfig = GapConfig()) -> list[tuple[float, Schedule, float]]:
-    """One (rho, schedule, energy) candidate per DVFS level, in level order."""
-    return [(rho, *_candidate(tasks, nodes, rho, config)) for rho in dvfs.levels]
 
 
 def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
@@ -285,11 +209,22 @@ def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
     full ties keep the lowest level. fault_model is accepted for interface
     symmetry with the simulator but plays no role in the static decision.
     """
+    ordered = edf_sort(tasks)
+    nodes_by_id = {n.id: n for n in nodes}
     best_sched: Schedule | None = None
     best_key = (math.inf, math.inf, math.inf)
     for rho in dvfs.levels:
-        sched, energy = _candidate(tasks, nodes, rho, config)
-        key = (len(sched.failed), sched.cp, energy)
+        state = GapState.fresh(nodes)
+        part1 = map_primaries(ordered, nodes, rho, state, config)
+        part2 = map_backups(state.backup_queue, nodes, rho, state, part1.assignment, config)
+        sched = Schedule(
+            entries=part1.entries + part2.entries,
+            assignment={**part1.assignment, **part2.assignment},
+            selected_rho=rho,
+            backup_list=part1.backup_list,
+            failed=part2.failed,
+        )
+        key = (len(sched.failed), sched.cp, schedule_energy(nodes_by_id, sched.entries))
         if key < best_key:
             best_key = key
             best_sched = sched

@@ -121,7 +121,7 @@ class Schedule:
 
     backup_list holds tasks deferred to the backup phase because no feasible
     primary mapping existed; failed holds tasks that could not be mapped at
-    all. cp and cb mirror their lengths.
+    all. cp and cb are their lengths.
     """
 
     entries: list[ScheduleEntry] = field(default_factory=list)
@@ -129,14 +129,17 @@ class Schedule:
     selected_rho: float = 1.0
     backup_list: list[int] = field(default_factory=list)
     failed: list[int] = field(default_factory=list)
-    cp: int = 0
-    cb: int = 0
+
+    @property
+    def cp(self) -> int:
+        return len(self.backup_list)
+
+    @property
+    def cb(self) -> int:
+        return len(self.failed)
 
     def primary_entries(self) -> list[ScheduleEntry]:
         return [e for e in self.entries if e.phase is Phase.PRIMARY]
-
-    def backup_entries(self) -> list[ScheduleEntry]:
-        return [e for e in self.entries if e.phase is Phase.BACKUP]
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,7 @@ class OracleResult:
     def best_schedule(self, tasks: list[Task], nodes: list[FogNode]) -> Schedule:
         """Materialize the winning candidate as a schedule."""
         if not self.feasible:
-            return Schedule(failed=[t.id for t in sorted(tasks, key=lambda t: t.id)],
-                            cb=len(tasks))
+            return Schedule(failed=[t.id for t in sorted(tasks, key=lambda t: t.id)])
         assert self.best_rho is not None
         entries, ok = _place_candidate(tasks, nodes,
                                        self.best_assignment, self.best_rho)

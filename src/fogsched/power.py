@@ -9,19 +9,9 @@ math.fsum so results do not depend on summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import FogNode, ScheduleEntry
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    """Dynamic power draw at one operating point."""
-
-    watts: float
-    volts: float
-    hertz: float
 
 
 def dynamic_power(node: FogNode, volts: float, hertz: float) -> float:
@@ -40,11 +30,6 @@ def scaled_vf(node: FogNode, rho: float) -> tuple[float, float]:
     return rho * node.v_max, rho * node.f_max
 
 
-def operating_point(node: FogNode, rho: float) -> PowerSample:
-    volts, hertz = scaled_vf(node, rho)
-    return PowerSample(dynamic_power(node, volts, hertz), volts, hertz)
-
-
 def active_power(node: FogNode, rho: float) -> float:
     """Total draw (W) while executing at rho: dynamic plus static power."""
     volts, hertz = scaled_vf(node, rho)
@@ -61,11 +46,3 @@ def schedule_energy(nodes_by_id: dict[int, FogNode],
     """Order-independent total energy (J) over entries."""
     return math.fsum(entry_energy(nodes_by_id[e.node_id], e) for e in entries)
 
-
-def total_power_full(nodes: list[FogNode], entries: Iterable[ScheduleEntry]) -> float:
-    """Summed full-speed dynamic power (W) over entries, one term per entry."""
-    by_id = {n.id: n for n in nodes}
-    return math.fsum(
-        dynamic_power(by_id[e.node_id], by_id[e.node_id].v_max, by_id[e.node_id].f_max)
-        for e in entries
-    )

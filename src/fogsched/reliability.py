@@ -68,10 +68,6 @@ class FaultSampler:
     def __post_init__(self):
         self._rng = random.Random(self.seed)
 
-    def spawn(self, index: int) -> "FaultSampler":
-        """Independent child stream; used to give each run its own sampler."""
-        return FaultSampler(f"{self.seed}/{index}")
-
     def sample(self, p: float) -> tuple[bool, float]:
         """Draw a fault decision with probability p and a position fraction.
 
@@ -84,6 +80,3 @@ class FaultSampler:
         frac = self._rng.random()
         return u < p, frac
 
-
-def sample_fault(sampler: FaultSampler, p: float) -> tuple[bool, float]:
-    return sampler.sample(p)

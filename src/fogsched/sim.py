@@ -19,7 +19,7 @@ from enum import Enum
 
 from . import gap
 from .model import (FaultEvent, FaultModel, Instance, MetricsReport, Phase,
-                    Schedule, ScheduleEntry, Task)
+                    Schedule, ScheduleEntry)
 from .power import schedule_energy
 from .reliability import fault_probability, fault_rate_freq
 
@@ -60,31 +60,18 @@ class RunTrace:
 
     segments holds the realized execution windows (including the truncated
     window of a faulted run) with exec_time equal to actual busy time, so
-    re-summing their energies reproduces the report total.
+    re-summing their energies reproduces the report total. waits holds each
+    started task's time from submission to its first start.
     """
 
     events: list[Event] = field(default_factory=list)
     status: dict[int, TaskStatus] = field(default_factory=dict)
     fault_events: list[FaultEvent] = field(default_factory=list)
     segments: list[ScheduleEntry] = field(default_factory=list)
-    first_start: dict[int, float] = field(default_factory=dict)
     waits: dict[int, float] = field(default_factory=dict)
     completion: dict[int, float] = field(default_factory=dict)
     cp: int = 0
     cb: int = 0
-
-
-def completion_time(entry: ScheduleEntry) -> float:
-    """Realized completion of an executed entry (start plus execution time)."""
-    return entry.completion
-
-
-def wait_time(entry: ScheduleEntry, task: Task) -> float:
-    """Seconds between submission and first execution start."""
-    w = entry.start - task.submit_time
-    if w < 0:
-        raise ValueError(f"task {task.id} started before its submit time")
-    return w
 
 
 def run(schedule: Schedule, instance: Instance, fm: FaultModel,
@@ -98,18 +85,18 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     if detection not in DETECTION_MODES:
         raise ValueError(f"unknown detection mode {detection!r}")
     tasks_by_id = {t.id: t for t in instance.tasks}
-    nodes_by_id = {n.id: n for n in instance.nodes}
+    node_ids = {n.id for n in instance.nodes}
     for e in schedule.entries:
         if e.task_id not in tasks_by_id:
             raise ValueError(f"schedule references unknown task id {e.task_id}")
-        if e.node_id not in nodes_by_id:
+        if e.node_id not in node_ids:
             raise ValueError(f"schedule references unknown node id {e.node_id}")
     for tid in schedule.failed:
         if tid not in tasks_by_id:
             raise ValueError(f"schedule references unknown task id {tid}")
 
     trace = RunTrace(cp=schedule.cp, cb=schedule.cb)
-    state = gap.GapState(node_free={n.id: [0.0] * n.npe_slots for n in instance.nodes})
+    state = gap.GapState.fresh(instance.nodes)
     lanes = state.node_free
     rho = schedule.selected_rho
     lam = fault_rate_freq(fm, rho)
@@ -121,6 +108,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
         if t.id not in covered:
             trace.status[t.id] = TaskStatus.FAILED  # never scheduled
 
+    faulted: set[int] = set()
     heap: list[tuple[float, int, int, int, tuple]] = []
     seq = 0
 
@@ -138,8 +126,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
         """Common path once a task holds its slots from `now`: draw the
         fault and enqueue the matching completion or fault event."""
         trace.events.append(Event(now, EventKind.START, entry.task_id, entry.node_id))
-        if entry.task_id not in trace.first_start:
-            trace.first_start[entry.task_id] = now
+        if entry.task_id not in trace.waits:
             trace.waits[entry.task_id] = now - tasks_by_id[entry.task_id].submit_time
         completion = now + entry.exec_time
         p = fault_probability(lam, entry.exec_time)
@@ -181,14 +168,14 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                                                 entry.exec_time, completion,
                                                 entry.rho, entry.phase))
             trace.completion[tid] = completion
-            had_fault = any(f.task_id == tid for f in trace.fault_events)
-            trace.status[tid] = (TaskStatus.COMPLETED_VIA_BACKUP if had_fault
+            trace.status[tid] = (TaskStatus.COMPLETED_VIA_BACKUP if tid in faulted
                                  else TaskStatus.COMPLETED)
         elif kind is EventKind.FAULT:
             entry, started, planned_completion, elapsed = payload
             task = tasks_by_id[tid]
             trace.events.append(Event(now, EventKind.FAULT, tid, entry.node_id))
             trace.fault_events.append(FaultEvent(tid, entry.node_id, elapsed))
+            faulted.add(tid)
             trace.segments.append(ScheduleEntry(tid, entry.node_id, started,
                                                 elapsed, now, entry.rho, entry.phase))
             if detection == "immediate":
@@ -218,25 +205,16 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                                       backup.node_id))
             push(backup.start, EventKind.START, tid, (backup, True))
 
-    report = _report(trace, instance, nodes_by_id)
-    return trace, report
+    return trace, report(trace, instance)
 
 
-def averages(trace: RunTrace) -> tuple[float | None, float | None]:
-    """(mean completion time, mean wait time) over executed tasks, or None."""
-    done = sorted(tid for tid, st in trace.status.items()
-                  if st is not TaskStatus.FAILED and tid in trace.completion)
-    if not done:
-        return None, None
-    act = math.fsum(trace.completion[t] for t in done) / len(done)
-    awt = math.fsum(trace.waits[t] for t in done) / len(done)
-    return act, awt
+def report(trace: RunTrace, instance: Instance) -> MetricsReport:
+    """Aggregate a finished trace into a metrics report.
 
-
-def _report(trace: RunTrace, instance: Instance,
-            nodes_by_id: dict | None = None) -> MetricsReport:
-    if nodes_by_id is None:
-        nodes_by_id = {n.id: n for n in instance.nodes}
+    Mean completion and wait run over executed tasks and are None when no
+    task executed.
+    """
+    nodes_by_id = {n.id: n for n in instance.nodes}
     tasks_by_id = {t.id: t for t in instance.tasks}
     total_energy = schedule_energy(nodes_by_id, trace.segments)
     done = sorted(tid for tid, st in trace.status.items()
@@ -267,25 +245,32 @@ def _report(trace: RunTrace, instance: Instance,
     )
 
 
-def report(trace: RunTrace, instance: Instance) -> MetricsReport:
-    """Aggregate a finished trace into a metrics report."""
-    return _report(trace, instance)
-
-
 def check_capacity(trace: RunTrace, instance: Instance) -> list[str]:
     """Audit the event log: concurrent npe on a node must fit its slots.
 
-    Returns a list of violation descriptions (empty when clean).
+    A segment holds its node's slots over [start, completion). The load is
+    checked at every segment start by one sweep over the node's start and
+    end points. Returns a list of violation descriptions (empty when clean).
     """
     tasks_by_id = {t.id: t for t in instance.tasks}
+    segments: dict[int, list[ScheduleEntry]] = {n.id: [] for n in instance.nodes}
+    for s in trace.segments:
+        if s.node_id in segments:
+            segments[s.node_id].append(s)
     problems = []
     for node in instance.nodes:
-        spans = [(s.start, s.completion, tasks_by_id[s.task_id].npe)
-                 for s in trace.segments if s.node_id == node.id]
-        points = sorted({s for s, _, _ in spans})
-        for p in points:
-            load = sum(npe for s, c, npe in spans if s <= p < c)
-            if load > node.npe_slots:
+        starts = set()
+        delta: dict[float, int] = {}
+        for s in segments[node.id]:
+            npe = tasks_by_id[s.task_id].npe
+            starts.add(s.start)
+            if s.start < s.completion:
+                delta[s.start] = delta.get(s.start, 0) + npe
+                delta[s.completion] = delta.get(s.completion, 0) - npe
+        load = 0
+        for p in sorted(starts | delta.keys()):
+            load += delta.get(p, 0)
+            if p in starts and load > node.npe_slots:
                 problems.append(
                     f"node {node.id} at t={p}: npe load {load} > {node.npe_slots}")
     return problems

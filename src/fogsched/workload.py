@@ -14,21 +14,7 @@ from dataclasses import dataclass
 
 from .model import DvfsConfig, FaultModel, FogNode, Instance, Task, validate_instance
 
-# Simulator host parameters carried as inert metadata; only RAM and
-# bandwidth of the per-VM profile feed the generated nodes.
-HOST_PROFILE = {
-    "architecture": "X86",
-    "bandwidth_bps": 10000,
-    "ram_mb": 2048,
-    "storage_mb": 100000,
-    "os": "CentOS",
-    "vm_model": "Xen",
-    "time_zone": 8.0,
-    "cost": 2,
-    "cost_per_memory": 0.01,
-    "cost_per_storage": 0.001,
-}
-
+# Per-VM RAM and bandwidth, carried as configuration only.
 VM_RAM_MB = 256.0
 VM_BANDWIDTH_BPS = 1000.0
 

@@ -2,24 +2,21 @@
 printing a PASS line with its measured evidence (visible with -s)."""
 
 import math
-import random
 import statistics
 import time
 
 import pytest
 
 from conftest import make_node, make_task
+from fogsched import checks
 from fogsched.cli import ExperimentConfig, run_experiment
-from fogsched.gap import (GapState, edf_sort, exec_time, gap_schedule,
-                          payoff, wgap_schedule)
-from fogsched.model import DvfsConfig, FaultModel, Phase
-from fogsched.oracle import exhaustive
-from fogsched.power import dynamic_power, entry_energy, scaled_vf, schedule_energy
+from fogsched.gap import GapState, edf_sort, exec_time, gap_schedule, payoff
+from fogsched.model import DvfsConfig, FaultModel, ScheduleEntry
+from fogsched.power import dynamic_power, entry_energy, scaled_vf
 from fogsched.reliability import (FaultSampler, cpb_exec_time,
                                   fault_probability, fault_rate_freq,
                                   fault_rate_volt, reliability)
 from fogsched.sim import run
-from fogsched.model import ScheduleEntry
 from fogsched.workload import WorkloadSpec, generate
 
 ALGOS = ("gap", "wgap", "fcfs", "sjf", "rr", "pso")
@@ -101,8 +98,8 @@ def test_c01_equation_unit_suite():
     tasks = [make_task(id=i, deadline=d) for i, d in ((1, 3.0), (2, 1.0), (3, 2.0))]
     assert [t.deadline for t in edf_sort(tasks)] == [1.0, 2.0, 3.0]
     task = make_task(length=1000, deadline=2.0)
-    state = GapState.fresh([task], [node])
-    assert approx(payoff(task, node, 1.0, state).value, -0.5)
+    state = GapState.fresh([node])
+    assert approx(payoff(task, node, 1.0, state), -0.5)
 
     # one simulated queue: three unit tasks on one node wait 0, 1, 2 seconds
     q = [make_task(id=i, length=1000, deadline=90.0) for i in (1, 2, 3)]
@@ -121,106 +118,41 @@ def test_c01_equation_unit_suite():
 
 def test_c02_cubic_power_identity():
     t0 = time.perf_counter()
-    rng = random.Random(4242)
-    worst = 0.0
-    for _ in range(1000):
-        node = make_node(v_max=rng.uniform(0.5, 1.5), f_max=rng.uniform(1e8, 4e9),
-                         activity=rng.uniform(0.01, 1.0),
-                         load_cap=rng.uniform(1e-10, 1e-8))
-        rho = rng.uniform(0.02, 1.0)
-        full = dynamic_power(node, node.v_max, node.f_max)
-        scaled = dynamic_power(node, *scaled_vf(node, rho))
-        err = abs(scaled - rho**3 * full) / full
-        worst = max(worst, err)
-        assert err <= 1e-12
+    ev = checks.check_cubic_power(1000)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    note(2, f"1000 random (node, rho) pairs, max rel err {worst:.2e}, {elapsed:.2f} s")
+    note(2, f"{ev['pairs']} random (node, rho) pairs, max rel err {ev['worst']:.2e}, "
+            f"{elapsed:.2f} s")
 
 
 def test_c03_deadline_safety_500_instances():
     t0 = time.perf_counter()
-    rng = random.Random(777)
-    entries_checked = 0
-    for _ in range(500):
-        spec = WorkloadSpec(n_tasks=rng.randint(1, 50), n_vms=rng.randint(1, 8),
-                            slack_factor_range=(1.2, 3.5),
-                            submit_mode="uniform",
-                            submit_horizon=rng.uniform(0.0, 6.0),
-                            seed=rng.randrange(2**32))
-        inst = generate(spec)
-        deadlines = {t.id: t.deadline for t in inst.tasks}
-        for sched in (gap_schedule(inst.tasks, inst.nodes, inst.dvfs),
-                      wgap_schedule(inst.tasks, inst.nodes)):
-            for e in sched.entries:
-                assert e.completion <= deadlines[e.task_id]
-                entries_checked += 1
-            placed = {e.task_id for e in sched.entries}
-            assert not placed & set(sched.failed)
-            assert placed | set(sched.failed) == set(deadlines)
+    ev = checks.check_deadline_safety(500)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    note(3, f"500 instances, {entries_checked} entries, zero deadline "
+    note(3, f"{ev['instances']} instances, {ev['entries']} entries, zero deadline "
             f"violations, {elapsed:.1f} s")
 
 
 def test_c04_backup_separation_500_fault_runs():
     t0 = time.perf_counter()
-    rng = random.Random(888)
-    fm = FaultModel(lambda0=1e-3, d=3.0, f_min=0.5)
-    backups = 0
-    for i in range(500):
-        spec = WorkloadSpec(n_tasks=rng.randint(2, 30), n_vms=rng.randint(2, 6),
-                            slack_factor_range=(1.5, 4.0),
-                            submit_mode="uniform",
-                            submit_horizon=rng.uniform(0.0, 4.0),
-                            seed=rng.randrange(2**32))
-        inst = generate(spec, fault_model=fm)
-        sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
-        trace, _ = run(sched, inst, fm, FaultSampler(f"acc4/{i}"))
-        primary_node = {e.task_id: e.node_id for e in sched.entries
-                        if e.phase is Phase.PRIMARY}
-        for seg in trace.segments:
-            if seg.phase is Phase.BACKUP and seg.task_id in primary_node:
-                assert seg.node_id != primary_node[seg.task_id]
-                backups += 1
+    ev = checks.check_backup_separation(500)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    assert backups > 100  # the fault rate must actually exercise recovery
-    note(4, f"500 runs at lambda0=1e-3, {backups} backup executions, "
+    assert ev["backups"] > 100  # the fault rate must actually exercise recovery
+    note(4, f"{ev['runs']} runs at lambda0=1e-3, {ev['backups']} backup executions, "
             f"all on distinct nodes, {elapsed:.1f} s")
 
 
 def test_c05_oracle_bounding_200_instances():
     t0 = time.perf_counter()
-    rng = random.Random(999)
-    dvfs = DvfsConfig((0.6, 0.8, 1.0))
-    ratios = []
-    partial = 0
-    for i in range(200):
-        spec = WorkloadSpec(n_tasks=rng.randint(1, 5), n_vms=rng.randint(1, 3),
-                            slack_factor_range=(1.5, 5.0),
-                            submit_mode="uniform",
-                            submit_horizon=rng.uniform(0.0, 2.0),
-                            seed=rng.randrange(2**32))
-        inst = generate(spec, dvfs=dvfs)
-        best = exhaustive(inst.tasks, inst.nodes, dvfs)
-        sched = gap_schedule(inst.tasks, inst.nodes, dvfs)
-        if sched.failed or sched.cp:
-            partial += 1  # heuristic dropped work; no energy bound applies
-            continue
-        # Full feasibility must imply oracle feasibility, and the heuristic
-        # can never beat the exhaustive optimum.
-        assert best.feasible
-        energy = schedule_energy({n.id: n for n in inst.nodes}, sched.entries)
-        assert energy >= best.best_energy * (1 - 1e-9)
-        ratios.append(energy / best.best_energy if best.best_energy > 0 else 1.0)
+    ev = checks.check_oracle_bounding(200)
     elapsed = time.perf_counter() - t0
-    ratios.sort()
-    median = ratios[len(ratios) // 2]
     assert elapsed < 120.0
-    note(5, f"200 instances: {len(ratios)} bounded, {partial} with deferred "
-            f"work, median energy ratio {median:.4f}, {elapsed:.1f} s")
+    assert ev["bounded"] > 0
+    note(5, f"{ev['instances']} instances: {ev['bounded']} bounded, {ev['partial']} "
+            f"with deferred work, median energy ratio {ev['median']:.4f}, "
+            f"{elapsed:.1f} s")
 
 
 def test_c06_energy_dominance_on_sweep(sweep):
@@ -337,26 +269,9 @@ def test_c10_sweep_is_byte_deterministic(sweep, tmp_path):
 
 def test_c11_fault_model_statistics():
     t0 = time.perf_counter()
-    worst = 0.0
-    for k, (lam, t) in enumerate([(1e-3, 250.0), (7e-4, 1000.0), (2.5e-3, 500.0)]):
-        p = fault_probability(lam, t)
-        sampler = FaultSampler(f"acc11/{k}")
-        hits = sum(1 for _ in range(100_000) if sampler.sample(p)[0])
-        err = abs(hits / 100_000 - p)
-        worst = max(worst, err)
-        assert err <= 0.01
-
-    calm = FaultModel(lambda0=0.0, d=3.0, f_min=0.5)
-    inst = generate(WorkloadSpec(n_tasks=40, n_vms=8,
-                                 slack_factor_range=(3.0, 6.0),
-                                 submit_mode="uniform", submit_horizon=8.0,
-                                 seed=31),
-                    fault_model=calm)
-    sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
-    assert not sched.failed  # fully schedulable workload by construction
-    _, rep = run(sched, inst, calm, FaultSampler("acc11"))
-    assert rep.reliability_estimate == 1.0
+    ev = checks.check_fault_statistics(100_000)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    note(11, f"empirical fault frequency within {worst:.4f} of 1-e^(-lt) at "
-             f"3 points; reliability exactly 1 at zero fault rate, {elapsed:.1f} s")
+    note(11, f"empirical fault frequency within {ev['worst']:.4f} of 1-e^(-lt) at "
+             f"{ev['points']} points; reliability exactly 1 at zero fault rate, "
+             f"{elapsed:.1f} s")

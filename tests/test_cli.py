@@ -150,6 +150,7 @@ def test_verify_broken_dvfs_names_invariant(tmp_path, capsys):
 @pytest.mark.parametrize("doc,needle", [
     ({"pso": {"swarm_size": 1}}, "swarm_size"),
     ({"detection": "bogus"}, "bogus"),
+    ({"master_sed": 5}, "master_sed"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"
@@ -170,3 +171,10 @@ def test_cfg_validation():
         ExperimentConfig(emit=("pdf",)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(sweep="everything").validate()
+
+
+def test_verify_passes_every_check(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("PASS ") for line in out.splitlines()) == 9
+    assert "9/9 checks passed" in out

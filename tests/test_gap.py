@@ -1,14 +1,19 @@
+import dataclasses
+import hashlib
+import math
 import random
 
 import pytest
 
 from conftest import make_node, make_task
-from fogsched.gap import (GapConfig, GapState, INFEASIBLE, edf_sort,
-                          exec_time, gap_candidates, gap_schedule,
-                          map_backups, map_primaries, payoff, wgap_schedule)
-from fogsched.model import DvfsConfig, Phase
+from fogsched import sim
+from fogsched.gap import (GapConfig, GapState, edf_sort, exec_time,
+                          gap_schedule, map_backups, map_primaries, payoff,
+                          wgap_schedule)
+from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
+from fogsched.reliability import FaultSampler
 from fogsched.workload import WorkloadSpec, generate
 
 REL = 1e-9
@@ -53,42 +58,41 @@ def two_task_instance():
 def test_payoff_infeasible_past_deadline():
     task = make_task(length=2000, deadline=1.0)
     node = make_node(mips=1000)
-    state = GapState.fresh([task], [node])
-    assert payoff(task, node, 1.0, state) is INFEASIBLE
-    assert not INFEASIBLE.feasible
-    assert INFEASIBLE.value < -1e18
+    state = GapState.fresh([node])
+    assert payoff(task, node, 1.0, state) == -math.inf
 
 
 def test_payoff_worked_example():
     # deadline 2, CT 1 at full speed: slack 0.5 minus energy ratio 1 = -0.5.
     task = make_task(length=1000, deadline=2.0)
     node = make_node(mips=1000)
-    state = GapState.fresh([task], [node])
-    p = payoff(task, node, 1.0, state)
-    assert p.value == pytest.approx(-0.5, rel=REL)
-    assert p.slack_norm == pytest.approx(0.5, rel=REL)
-    assert p.energy_norm == pytest.approx(1.0, rel=REL)
+    state = GapState.fresh([node])
+    assert payoff(task, node, 1.0, state) == pytest.approx(-0.5, rel=REL)
+    slack_only = GapConfig(slack_weight=1.0, energy_weight=0.0)
+    energy_only = GapConfig(slack_weight=0.0, energy_weight=1.0)
+    assert payoff(task, node, 1.0, state, slack_only) == pytest.approx(0.5, rel=REL)
+    assert payoff(task, node, 1.0, state, energy_only) == pytest.approx(-1.0, rel=REL)
 
 
 def test_payoff_prefers_smaller_exec_time():
     task = make_task(length=1000, deadline=3.0)
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)  # same electrical profile
-    state = GapState.fresh([task], [slow, fast])
-    assert payoff(task, fast, 1.0, state).value > payoff(task, slow, 1.0, state).value
+    state = GapState.fresh([slow, fast])
+    assert payoff(task, fast, 1.0, state) > payoff(task, slow, 1.0, state)
 
 
 def test_payoff_respects_npe_capacity():
     task = make_task(npe=4)
     node = make_node(npe_slots=2)
-    state = GapState.fresh([task], [node])
-    assert payoff(task, node, 1.0, state) is INFEASIBLE
+    state = GapState.fresh([node])
+    assert payoff(task, node, 1.0, state) == -math.inf
 
 
 def test_map_primaries_two_task_example():
     tasks, nodes = two_task_instance()
-    state = GapState.fresh(tasks, nodes)
-    sched = map_primaries(state.lt, nodes, 1.0, state)
+    state = GapState.fresh(nodes)
+    sched = map_primaries(edf_sort(tasks), nodes, 1.0, state)
     assert sched.assignment == {2: 2, 1: 1}
     by_task = {e.task_id: e for e in sched.entries}
     assert by_task[2].completion == pytest.approx(0.75, rel=REL)
@@ -105,7 +109,7 @@ def test_map_primaries_two_task_example():
 def test_map_primaries_single_task_trivial():
     task = make_task(length=500, deadline=10.0)
     node = make_node()
-    state = GapState.fresh([task], [node])
+    state = GapState.fresh([node])
     sched = map_primaries([task], [node], 1.0, state)
     assert sched.assignment == {1: 1}
 
@@ -113,7 +117,7 @@ def test_map_primaries_single_task_trivial():
 def test_map_primaries_impossible_task_joins_backup_queue():
     task = make_task(length=5000, deadline=1.0)  # 5 s on the best node
     nodes = [make_node(id=1), make_node(id=2)]
-    state = GapState.fresh([task], nodes)
+    state = GapState.fresh(nodes)
     sched = map_primaries([task], nodes, 1.0, state)
     assert sched.cp == 1
     assert sched.backup_list == [1]
@@ -124,7 +128,7 @@ def test_map_primaries_impossible_task_joins_backup_queue():
 def test_map_primaries_tie_breaks_lower_node_id():
     task = make_task(length=500, deadline=10.0)
     nodes = [make_node(id=2), make_node(id=1)]
-    state = GapState.fresh([task], nodes)
+    state = GapState.fresh(nodes)
     sched = map_primaries([task], nodes, 1.0, state)
     assert sched.assignment[1] == 1
 
@@ -132,7 +136,7 @@ def test_map_primaries_tie_breaks_lower_node_id():
 def test_map_backups_excludes_primary_node():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1, mips=2000), make_node(id=2)]
-    state = GapState.fresh([task], nodes)
+    state = GapState.fresh(nodes)
     state.remaining[1] = 10.0
     sched = map_backups([task], nodes, 1.0, state, {1: 1})
     assert sched.entries[0].node_id == 2
@@ -142,7 +146,7 @@ def test_map_backups_excludes_primary_node():
 def test_map_backups_single_node_conflict_fails():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1)]
-    state = GapState.fresh([task], nodes)
+    state = GapState.fresh(nodes)
     state.remaining[1] = 10.0
     sched = map_backups([task], nodes, 1.0, state, {1: 1})
     assert sched.failed == [1]
@@ -153,7 +157,7 @@ def test_map_backups_budget_too_small_fails():
     # Candidate execution takes 0.6 s but only 0.5 s of budget remains.
     task = make_task(id=1, length=600, deadline=10.0)
     nodes = [make_node(id=1), make_node(id=2)]
-    state = GapState.fresh([task], nodes)
+    state = GapState.fresh(nodes)
     state.remaining[1] = 0.5
     sched = map_backups([task], nodes, 1.0, state, {1: 1})
     assert sched.failed == [1]
@@ -163,7 +167,7 @@ def test_map_backups_prefers_greater_computing_power():
     task = make_task(id=1, length=500, deadline=100.0)
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)
-    state = GapState.fresh([task], [slow, fast])
+    state = GapState.fresh([slow, fast])
     state.remaining[1] = 100.0
     sched = map_backups([task], [slow, fast], 1.0, state, {})
     assert sched.entries[0].node_id == fast.id
@@ -190,13 +194,6 @@ def test_gap_schedule_empty_tasks():
     sched = gap_schedule([], [make_node()], DvfsConfig((0.6, 0.8, 1.0)))
     assert sched.entries == []
     assert sched.selected_rho == 0.6
-
-
-def test_gap_candidates_one_per_level():
-    tasks, nodes = two_task_instance()
-    dvfs = DvfsConfig((0.6, 0.8, 1.0))
-    cands = gap_candidates(tasks, nodes, dvfs)
-    assert [rho for rho, _, _ in cands] == [0.6, 0.8, 1.0]
 
 
 def test_wgap_equals_gap_with_single_level():
@@ -254,8 +251,8 @@ def test_phase_one_processes_in_deadline_order():
     tasks = [make_task(id=i, deadline=rng.uniform(5, 50), length=100)
              for i in range(30)]
     nodes = [make_node(id=1, npe_slots=1)]
-    state = GapState.fresh(tasks, nodes)
-    sched = map_primaries(state.lt, nodes, 1.0, state)
+    state = GapState.fresh(nodes)
+    sched = map_primaries(edf_sort(tasks), nodes, 1.0, state)
     # Single slot: start order mirrors processing order.
     starts = {e.task_id: e.start for e in sched.entries}
     processed = sorted(starts, key=lambda tid: starts[tid])
@@ -272,7 +269,7 @@ def test_idle_uniform_power_choice_minimizes_exec_time():
                  for j in range(4)]
         task = make_task(length=rng.randint(1000, 2000), deadline=1e9)
         for rho in (0.6, 0.8, 1.0):
-            state = GapState.fresh([task], nodes)
+            state = GapState.fresh(nodes)
             sched = map_primaries([task], nodes, rho, state)
             chosen = sched.assignment[task.id]
             best_ext = min(exec_time(task, n, rho) for n in nodes)
@@ -315,21 +312,21 @@ def test_map_primaries_agrees_with_scalar_payoff():
     for _ in range(20):
         inst = _random_instance(rng, max_tasks=12, max_vms=5)
         for rho in (0.6, 1.0):
-            state = GapState.fresh(inst.tasks, inst.nodes)
-            fast = map_primaries(state.lt, inst.nodes, rho, state)
+            state = GapState.fresh(inst.nodes)
+            fast = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
 
-            ref_state = GapState.fresh(inst.tasks, inst.nodes)
+            ref_state = GapState.fresh(inst.nodes)
             entries = []
-            for task in ref_state.lt:
+            for task in edf_sort(inst.tasks):
                 best = None
                 for node in sorted(inst.nodes, key=lambda n: n.id):
-                    p = payoff(task, node, rho, ref_state)
-                    if not p.feasible:
+                    value = payoff(task, node, rho, ref_state)
+                    if value == -math.inf:
                         continue
                     energy = active_power(node, rho) * exec_time(task, node, rho)
-                    if best is None or p.value > best[0] \
-                            or (p.value == best[0] and energy < best[1]):
-                        best = (p.value, energy, node)
+                    if best is None or value > best[0] \
+                            or (value == best[0] and energy < best[1]):
+                        best = (value, energy, node)
                 if best is None:
                     continue
                 node = best[2]
@@ -347,15 +344,133 @@ def test_node_choice_tie_breaks():
     cheap = make_node(id=1, mips=1000, load_cap=1e-9)
     fast = make_node(id=2, mips=2000, load_cap=8e-9)
     # Default weights: the later-but-faster completion wins on slack.
-    state = GapState.fresh([task], [cheap, fast])
+    state = GapState.fresh([cheap, fast])
     assert map_primaries([task], [cheap, fast], 1.0, state).assignment[1] == 2
     # With slack weighted out, payoffs tie at full speed (the energy term is
     # normalized per node) and the absolute-energy tie-break picks cheap.
-    state = GapState.fresh([task], [cheap, fast])
+    state = GapState.fresh([cheap, fast])
     thrifty = map_primaries([task], [cheap, fast], 1.0, state,
                             GapConfig(slack_weight=0.0, energy_weight=1.0))
     assert thrifty.assignment[1] == 1
+    # The energy tie-break wins over node order when the cheap node has the
+    # higher id.
+    pricey = make_node(id=1, load_cap=8e-9)
+    frugal = make_node(id=2, load_cap=1e-9)
+    state = GapState.fresh([pricey, frugal])
+    thrifty = map_primaries([task], [pricey, frugal], 1.0, state,
+                            GapConfig(slack_weight=0.0, energy_weight=1.0))
+    assert thrifty.assignment[1] == 2
     # Fully identical nodes fall through to the lower id.
     twins = [make_node(id=1), make_node(id=2)]
-    state = GapState.fresh([task], twins)
+    state = GapState.fresh(twins)
     assert map_primaries([task], twins, 1.0, state).assignment[1] == 1
+
+
+def _golden_instance(tasks, nodes, fm, dvfs=DvfsConfig((0.6, 0.7, 0.8, 0.9, 1.0))):
+    return validate_instance(tasks, nodes, dvfs, fm)
+
+
+def _golden_generated(fm=FaultModel(lambda0=1e-6, d=3.0, f_min=0.5), **kw):
+    return generate(WorkloadSpec(**kw), fault_model=fm)
+
+
+def _golden_multi_slot():
+    """Nodes of 1, 2, 4 and 8 slots; npe 1-8, so wide tasks fit one node."""
+    nodes = [make_node(id=1, mips=1500.0, npe_slots=1),
+             make_node(id=2, mips=1100.0, npe_slots=2),
+             make_node(id=3, mips=1800.0, npe_slots=4),
+             make_node(id=4, mips=1300.0, npe_slots=8)]
+    npes = [1, 3, 2, 5, 4, 1, 8, 2, 1, 4, 3, 1, 6, 7]
+    tasks = [make_task(id=i + 1, length=1000 + 97 * i, npe=npe,
+                       submit_time=0.05 * (i % 4), deadline=1.0 + 0.3 * i)
+             for i, npe in enumerate(npes)]
+    return _golden_instance(tasks, nodes, FaultModel(1e-3, 3.0, 0.5))
+
+
+def _golden_all_deferred():
+    """No task fits its window on any node at any level."""
+    tasks = [make_task(id=i, length=4000 + 10 * i, deadline=1.0 + 0.1 * i)
+             for i in range(1, 7)]
+    nodes = [make_node(id=1), make_node(id=2, mips=2000.0, f_max=2e9)]
+    return _golden_instance(tasks, nodes, FaultModel(1e-3, 3.0, 0.5))
+
+
+def _golden_budget_met_exactly():
+    """A certain fault on a unit primary: detected at its completion (t=1)
+    the backup's 1 s run equals the 1 s budget left and is refused, while
+    its completion would meet the deadline exactly."""
+    tasks = [make_task(id=1, length=1000, deadline=2.0),
+             make_task(id=2, length=1000, deadline=4.0)]
+    nodes = [make_node(id=1), make_node(id=2)]
+    return _golden_instance(tasks, nodes, FaultModel(1e9, 3.0, 0.5))
+
+
+def _golden_deadline_met_exactly():
+    """Completions land exactly on deadlines at full speed."""
+    tasks = [make_task(id=1, length=2000, deadline=1.0),
+             make_task(id=2, length=1000, deadline=1.0),
+             make_task(id=3, length=1000, deadline=1.5)]
+    nodes = [make_node(id=1), make_node(id=2, mips=2000.0, f_max=2e9)]
+    return _golden_instance(tasks, nodes, FaultModel(1e-6, 3.0, 0.5))
+
+
+STORM = FaultModel(lambda0=0.5, d=3.0, f_min=0.5)
+
+# Fixed digests of gap_schedule, wgap_schedule and sim.run output (both
+# detection modes, so runtime map_backups runs). A rewrite of the payoff
+# mapper or the simulator must reproduce them bit for bit.
+GAP_GOLDEN = [
+    ("one-vm", lambda: _golden_generated(n_tasks=12, n_vms=1, seed=1,
+                                         fm=FaultModel(1e-3, 3.0, 0.5)),
+     "8ae6b37e8be6a8a9", "131a62f587280d9e"),
+    ("multi-slot", _golden_multi_slot, "f08f75b567e5f7a8", "d8645a1d7d403010"),
+    ("all-deferred", _golden_all_deferred, "8efdef146e357883", "14b7bff6373f19ef"),
+    ("budget-met-exactly", _golden_budget_met_exactly,
+     "f6bbf1a0a46648c9", "1e476c2740cf872b"),
+    ("deadline-met-exactly", _golden_deadline_met_exactly,
+     "dbaf55c321b9dbff", "49cee117e0ea54a3"),
+    ("lambda-0.5", lambda: _golden_generated(
+        n_tasks=60, n_vms=6, seed=5, submit_mode="uniform", submit_horizon=2.0,
+        fm=STORM), "76ab6b6c14bab189", "034d4cef49c93ba1"),
+    ("lambda-0.5-tight", lambda: _golden_generated(
+        n_tasks=120, n_vms=10, seed=6, submit_mode="uniform",
+        submit_horizon=0.4, slack_factor_range=(1.05, 1.6), fm=STORM),
+     "a8ea1ae2f4c58bc9", "d1c35336aaec1197"),
+    ("default-faults", lambda: _golden_generated(
+        n_tasks=40, n_vms=5, seed=7, submit_mode="uniform", submit_horizon=3.0),
+     "26c4fcc13fdf8386", "c9a48781a09bbcf5"),
+]
+
+
+def _sched_key(sched):
+    return ([(e.task_id, e.node_id, e.start, e.exec_time, e.completion, e.rho,
+              e.phase.value) for e in sched.entries],
+            sorted(sched.assignment.items()), sched.selected_rho,
+            sched.backup_list, sched.failed, sched.cp, sched.cb)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _golden_digests(inst, name):
+    scheds = (gap_schedule(inst.tasks, inst.nodes, inst.dvfs, inst.fault_model),
+              wgap_schedule(inst.tasks, inst.nodes, inst.fault_model))
+    runs = []
+    for sched in scheds:
+        for detection in sim.DETECTION_MODES:
+            trace, rep = sim.run(sched, inst, inst.fault_model,
+                                 FaultSampler(f"golden/{name}"), detection)
+            runs.append(([(e.time, e.kind.value, e.task_id, e.node_id)
+                          for e in trace.events],
+                         sorted((t, s.value) for t, s in trace.status.items()),
+                         [(s.task_id, s.node_id, s.start, s.exec_time,
+                           s.completion, s.phase.value) for s in trace.segments],
+                         dataclasses.astuple(rep)))
+    return _digest([_sched_key(s) for s in scheds]), _digest(runs)
+
+
+@pytest.mark.parametrize("name,build,sched_digest,sim_digest", GAP_GOLDEN,
+                         ids=[case[0] for case in GAP_GOLDEN])
+def test_gap_matches_golden_digest(name, build, sched_digest, sim_digest):
+    assert _golden_digests(build(), name) == (sched_digest, sim_digest)

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import make_node
 from fogsched.model import ScheduleEntry
-from fogsched.power import (dynamic_power, entry_energy, operating_point,
-                            scaled_vf, schedule_energy, total_power_full)
+from fogsched.power import dynamic_power, entry_energy, scaled_vf, schedule_energy
 
 REL = 1e-9
 
@@ -83,18 +82,13 @@ def test_static_power_added_per_active_second():
     assert entry_energy(node, entry) == pytest.approx((1.44 + 0.5) * 2.0, rel=REL)
 
 
-def test_total_power_full_examples(ref_node):
-    assert total_power_full([ref_node], []) == 0.0
-    entries = [ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0),
-               ScheduleEntry.make(2, 1, 1.0, 1.0, 1.0)]
-    assert total_power_full([ref_node], entries) == pytest.approx(2.88, rel=REL)
-
-
 def test_scaled_total_never_exceeds_full(ref_node):
     entries = [ScheduleEntry.make(i, 1, 0.0, 1.0, 0.7) for i in range(4)]
     scaled = math.fsum(dynamic_power(ref_node, *scaled_vf(ref_node, e.rho))
                        for e in entries)
-    assert scaled <= total_power_full([ref_node], entries)
+    full = math.fsum(dynamic_power(ref_node, ref_node.v_max, ref_node.f_max)
+                     for _ in entries)
+    assert scaled <= full
 
 
 def test_monotone_in_volts_and_hertz(ref_node):
@@ -115,8 +109,3 @@ def test_cubic_scaling_identity():
         scaled = dynamic_power(node, *scaled_vf(node, rho))
         assert scaled == pytest.approx(rho**3 * full, rel=1e-12)
 
-
-def test_operating_point_sample(ref_node):
-    s = operating_point(ref_node, 1.0)
-    assert (s.watts, s.volts, s.hertz) == (pytest.approx(1.44, rel=REL), 1.2, 1e9)
-    assert operating_point(make_node(activity=0.0), 0.5).watts == 0.0

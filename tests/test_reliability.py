@@ -6,7 +6,7 @@ from conftest import make_node
 from fogsched.model import FaultModel
 from fogsched.reliability import (FaultSampler, cpb_exec_time,
                                   fault_probability, fault_rate_freq,
-                                  fault_rate_volt, reliability, sample_fault)
+                                  fault_rate_volt, reliability)
 
 REL = 1e-9
 
@@ -107,10 +107,10 @@ def test_cpb_exec_time():
 
 def test_sampler_degenerate_probabilities():
     s = FaultSampler(5)
-    assert all(not sample_fault(s, 0.0)[0] for _ in range(100))
-    assert all(sample_fault(s, 1.0)[0] for _ in range(100))
+    assert all(not s.sample(0.0)[0] for _ in range(100))
+    assert all(s.sample(1.0)[0] for _ in range(100))
     with pytest.raises(ValueError):
-        sample_fault(s, 1.5)
+        s.sample(1.5)
 
 
 def test_equal_seeds_replay_identically():
@@ -121,8 +121,8 @@ def test_equal_seeds_replay_identically():
 
 
 def test_spawned_streams_differ():
-    master = FaultSampler(7)
-    c1, c2 = master.spawn(0), master.spawn(1)
+    # Runs derive one string seed each from the master seed.
+    c1, c2 = FaultSampler("7/0"), FaultSampler("7/1")
     assert [c1.sample(0.5) for _ in range(50)] != [c2.sample(0.5) for _ in range(50)]
 
 

@@ -2,6 +2,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node, make_task
 from fogsched.baselines import fcfs_schedule
@@ -10,8 +12,8 @@ from fogsched.model import (DvfsConfig, FaultModel, Instance, Phase, Schedule,
                             ScheduleEntry)
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
-from fogsched.sim import (TaskStatus, averages, check_capacity,
-                          completion_time, run, wait_time, write_trace)
+from fogsched.sim import (RunTrace, TaskStatus, check_capacity, report, run,
+                          write_trace)
 from fogsched.workload import WorkloadSpec, generate
 
 REL = 1e-9
@@ -75,20 +77,6 @@ def test_replay_is_byte_identical(tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_completion_time_and_wait_time_ops():
-    entry = ScheduleEntry.make(1, 1, 0.0, 0.75, 1.0)
-    assert completion_time(entry) == 0.75
-    boundary = ScheduleEntry.make(1, 1, 5.0, 0.0, 1.0)
-    assert completion_time(boundary) == 5.0
-    task = make_task(submit_time=0.0)
-    assert wait_time(entry, task) == 0.0
-    queued = ScheduleEntry.make(1, 1, 0.75, 1.0, 1.0)
-    assert wait_time(queued, task) == 0.75
-    late = make_task(submit_time=1.0)
-    with pytest.raises(ValueError):
-        wait_time(queued, late)
-
-
 def test_three_serialized_tasks_wait_0_1_2():
     tasks = [make_task(id=i, length=1000, deadline=100.0) for i in (1, 2, 3)]
     node = make_node()
@@ -106,16 +94,16 @@ def test_averages_examples():
     inst = simple_instance(tasks, nodes)
     sched = fcfs_schedule(tasks, nodes)
     trace, _ = run(sched, inst, NO_FAULTS, FaultSampler(1))
-    act, awt = averages(trace)
-    assert act == pytest.approx((1.0 + 2.0 + 3.0) / 3, rel=REL)
-    assert awt == 0.0
+    rep = report(trace, inst)
+    assert rep.avg_completion == pytest.approx((1.0 + 2.0 + 3.0) / 3, rel=REL)
+    assert rep.avg_wait == 0.0
 
 
 def test_averages_absent_for_empty_trace():
     inst = simple_instance([], [make_node()])
     sched = Schedule()
     trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(1))
-    assert averages(trace) == (None, None)
+    assert report(trace, inst) == rep
     assert rep.avg_completion is None and rep.avg_wait is None
     assert rep.total_energy == 0.0 and rep.avg_power == 0.0
     assert rep.reliability_estimate == 1.0
@@ -268,3 +256,56 @@ def test_wasted_fault_time_is_charged():
     seg = trace.segments[0]
     assert 0.0 <= seg.exec_time < 1.0
     assert rep.total_energy == pytest.approx(1.44 * seg.exec_time, rel=REL)
+
+
+def quadratic_check_capacity(trace, instance):
+    """The per-node quadratic scan that check_capacity replaced, kept as the
+    reference its sweep line must agree with."""
+    tasks_by_id = {t.id: t for t in instance.tasks}
+    problems = []
+    for node in instance.nodes:
+        spans = [(s.start, s.completion, tasks_by_id[s.task_id].npe)
+                 for s in trace.segments if s.node_id == node.id]
+        points = sorted({s for s, _, _ in spans})
+        for p in points:
+            load = sum(npe for s, c, npe in spans if s <= p < c)
+            if load > node.npe_slots:
+                problems.append(
+                    f"node {node.id} at t={p}: npe load {load} > {node.npe_slots}")
+    return problems
+
+
+def _segments_trace(nodes, tasks, spans):
+    segments = [ScheduleEntry.make(tid, nid, start, length, 1.0)
+                for tid, nid, start, length in spans]
+    return RunTrace(segments=segments), simple_instance(tasks, nodes)
+
+
+def test_check_capacity_touching_and_overlapping_intervals():
+    nodes = [make_node(id=1, npe_slots=1)]
+    tasks = [make_task(id=1), make_task(id=2)]
+    touching = _segments_trace(nodes, tasks, [(1, 1, 0.0, 1.0), (2, 1, 1.0, 1.0)])
+    assert check_capacity(*touching) == []
+    overlapping = _segments_trace(nodes, tasks, [(1, 1, 0.0, 1.0), (2, 1, 0.5, 1.0)])
+    assert check_capacity(*overlapping) == ["node 1 at t=0.5: npe load 2 > 1"]
+
+
+@st.composite
+def segment_traces(draw):
+    """Segments on quarter-second grids, so starts, ends and zero-length
+    runs coincide often; some segments sit on a node the instance lacks."""
+    nodes = [make_node(id=j + 1, npe_slots=draw(st.integers(1, 4)))
+             for j in range(draw(st.integers(1, 3)))]
+    tasks = [make_task(id=i + 1, npe=draw(st.integers(1, 4)))
+             for i in range(draw(st.integers(1, 6)))]
+    spans = draw(st.lists(st.tuples(
+        st.integers(1, len(tasks)), st.integers(1, len(nodes) + 1),
+        st.integers(0, 16).map(lambda q: q / 4), st.integers(0, 8).map(lambda q: q / 4)),
+        max_size=25))
+    return _segments_trace(nodes, tasks, spans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=segment_traces())
+def test_check_capacity_matches_quadratic_reference(case):
+    assert check_capacity(*case) == quadratic_check_capacity(*case)
