@@ -36,14 +36,16 @@ def _require(ok: bool, message: str) -> None:
         raise CheckFailed(message)
 
 
-def _random_small_spec(rng: random.Random, max_tasks: int = 50,
-                       max_vms: int = 8) -> WorkloadSpec:
+def _random_spec(rng: random.Random, tasks: tuple[int, int],
+                 vms: tuple[int, int], slack: tuple[float, float],
+                 horizon: float) -> WorkloadSpec:
+    """A uniform-arrival spec; draws task count, VM count, horizon, seed."""
     return WorkloadSpec(
-        n_tasks=rng.randint(1, max_tasks),
-        n_vms=rng.randint(1, max_vms),
-        slack_factor_range=(1.2, 3.5),
+        n_tasks=rng.randint(*tasks),
+        n_vms=rng.randint(*vms),
+        slack_factor_range=slack,
         submit_mode="uniform",
-        submit_horizon=rng.uniform(0.0, 6.0),
+        submit_horizon=rng.uniform(0.0, horizon),
         seed=rng.randrange(2**32),
     )
 
@@ -84,7 +86,7 @@ def check_deadline_safety(instances: int = 100) -> dict:
     rng = random.Random(777)
     entries = 0
     for i in range(instances):
-        inst = generate(_random_small_spec(rng))
+        inst = generate(_random_spec(rng, (1, 50), (1, 8), (1.2, 3.5), 6.0))
         deadlines = {t.id: t.deadline for t in inst.tasks}
         for sched in (gap.gap_schedule(inst.tasks, inst.nodes, inst.dvfs),
                       gap.wgap_schedule(inst.tasks, inst.nodes)):
@@ -108,12 +110,8 @@ def check_backup_separation(runs: int = 100) -> dict:
     fm = FaultModel(lambda0=1e-3, d=3.0, f_min=0.5)
     backups = 0
     for i in range(runs):
-        spec = WorkloadSpec(n_tasks=rng.randint(2, 30), n_vms=rng.randint(2, 6),
-                            slack_factor_range=(1.5, 4.0),
-                            submit_mode="uniform",
-                            submit_horizon=rng.uniform(0.0, 4.0),
-                            seed=rng.randrange(2**32))
-        inst = generate(spec, fault_model=fm)
+        inst = generate(_random_spec(rng, (2, 30), (2, 6), (1.5, 4.0), 4.0),
+                        fault_model=fm)
         sched = gap.gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
         trace, _ = sim.run(sched, inst, fm, FaultSampler(f"acc4/{i}"))
         primary_node = {e.task_id: e.node_id for e in sched.entries
@@ -134,12 +132,8 @@ def check_oracle_bounding(instances: int = 200) -> dict:
     ratios = []
     partial = 0
     for i in range(instances):
-        spec = WorkloadSpec(n_tasks=rng.randint(1, 5), n_vms=rng.randint(1, 3),
-                            slack_factor_range=(1.5, 5.0),
-                            submit_mode="uniform",
-                            submit_horizon=rng.uniform(0.0, 2.0),
-                            seed=rng.randrange(2**32))
-        inst = generate(spec, dvfs=dvfs)
+        inst = generate(_random_spec(rng, (1, 5), (1, 3), (1.5, 5.0), 2.0),
+                        dvfs=dvfs)
         best = oracle.exhaustive(inst.tasks, inst.nodes, dvfs)
         sched = gap.gap_schedule(inst.tasks, inst.nodes, dvfs)
         if sched.failed or sched.cp:
@@ -203,10 +197,10 @@ def check_workload_ranges(draws: int = 10_000) -> dict:
     return {"draws": draws}
 
 
-def check_baseline_shapes(instances: int = 20) -> dict:
+def check_baseline_shapes() -> dict:
     rng = random.Random(505)
-    for i in range(instances):
-        inst = generate(_random_small_spec(rng, max_tasks=20))
+    for i in range(20):
+        inst = generate(_random_spec(rng, (1, 20), (1, 8), (1.2, 3.5), 6.0))
         for name, build in (
             ("fcfs", baselines.fcfs_schedule), ("sjf", baselines.sjf_schedule),
             ("rr", baselines.rr_schedule),
@@ -220,7 +214,7 @@ def check_baseline_shapes(instances: int = 20) -> dict:
                      f"{name}: emitted a backup entry")
             _require(all(e.rho == 1.0 for e in sched.entries),
                      f"{name}: ran below full speed")
-    return {"instances": instances}
+    return {"instances": 20}
 
 
 ALL_CHECKS: list[tuple[str, Callable[[], dict]]] = [
@@ -246,9 +240,8 @@ def run_all() -> list[CheckResult]:
     for name, fn in ALL_CHECKS:
         try:
             passed, detail = True, _evidence(fn())
-        except CheckFailed as exc:
-            passed, detail = False, str(exc)
         except Exception as exc:  # a crashing check is a failing check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            passed, detail = False, (str(exc) if isinstance(exc, CheckFailed)
+                                     else f"raised {type(exc).__name__}: {exc}")
         results.append(CheckResult(name, passed, detail))
     return results

@@ -222,46 +222,42 @@ def _write_charts(rows: list[dict], out: Path) -> None:
 # configuration file and flag plumbing
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = ("algorithms", "workload", "instance", "sweep", "fault_model",
-               "dvfs", "seeds", "output_dir", "emit", "master_seed", "pso",
-               "detection")
-
-
 def _config_from_dict(doc: dict) -> ExperimentConfig:
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    doc = dict(doc)  # each known key is popped; whatever is left is unknown
     cfg = ExperimentConfig()
     if "algorithms" in doc:
-        cfg.algorithms = tuple(doc["algorithms"])
-    if "workload" in doc and doc["workload"] is not None:
-        w = dict(doc["workload"])
+        cfg.algorithms = tuple(doc.pop("algorithms"))
+    workload = doc.pop("workload", None)
+    if workload is not None:
+        w = dict(workload)
         for key in ("length_range", "mips_range", "npe_range", "slack_factor_range"):
             if key in w:
                 w[key] = tuple(w[key])
         cfg.workload = WorkloadSpec(**w)
     if "instance" in doc:
-        cfg.instance_path = doc["instance"]
+        cfg.instance_path = doc.pop("instance")
     if "sweep" in doc:
-        cfg.sweep = doc["sweep"]
+        cfg.sweep = doc.pop("sweep")
     if "fault_model" in doc:
-        f = doc["fault_model"]
+        f = doc.pop("fault_model")
         cfg.fault_model = FaultModel(lambda0=f["lambda0"], d=f["d"],
                                      f_min=f["f_min"], d_volt=f.get("d_volt"))
     if "dvfs" in doc:
-        cfg.dvfs = DvfsConfig(doc["dvfs"]["levels"])
+        cfg.dvfs = DvfsConfig(doc.pop("dvfs")["levels"])
     if "seeds" in doc:
-        cfg.seeds = int(doc["seeds"])
+        cfg.seeds = int(doc.pop("seeds"))
     if "output_dir" in doc:
-        cfg.output_dir = doc["output_dir"]
+        cfg.output_dir = doc.pop("output_dir")
     if "emit" in doc:
-        cfg.emit = tuple(doc["emit"])
+        cfg.emit = tuple(doc.pop("emit"))
     if "master_seed" in doc:
-        cfg.master_seed = doc["master_seed"]
+        cfg.master_seed = doc.pop("master_seed")
     if "pso" in doc:
-        cfg.pso = baselines.PsoConfig(**doc["pso"])
+        cfg.pso = baselines.PsoConfig(**doc.pop("pso"))
     if "detection" in doc:
-        cfg.detection = doc["detection"]
+        cfg.detection = doc.pop("detection")
+    if doc:
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(doc))}")
     return cfg
 
 
@@ -330,16 +326,7 @@ def _load_config_file(path: str | None) -> ExperimentConfig:
         return _config_from_dict(json.load(fh))
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _apply_flags(_load_config_file(args.config), args)
-        cfg.validate()
-    except OSError as exc:
-        print(f"fogsched: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"fogsched: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_run(cfg: ExperimentConfig) -> int:
     try:
         run_experiment(cfg)
     except InvalidInstanceError as exc:
@@ -351,15 +338,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config_file(args.config)
-    except OSError as exc:
-        print(f"fogsched: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"fogsched: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_verify(cfg: ExperimentConfig) -> int:
     violations = check_instance([], [], cfg.dvfs, cfg.fault_model)
     if violations:
         for v in violations:
@@ -379,11 +358,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return EXIT_USAGE
+    try:
+        cfg = _load_config_file(args.config)
+        if args.command == "run":
+            cfg = _apply_flags(cfg, args)
+            cfg.validate()
+    except OSError as exc:
+        print(f"fogsched: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"fogsched: bad config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return cmd_run(cfg) if args.command == "run" else cmd_verify(cfg)
 
 
 if __name__ == "__main__":

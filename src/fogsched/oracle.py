@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .model import DvfsConfig, FogNode, Phase, Schedule, ScheduleEntry, Task
+from .model import DvfsConfig, FogNode, Phase, ScheduleEntry, Task
 from .power import active_power
 
 ENUMERATION_LIMIT = 10_000_000
@@ -33,17 +33,6 @@ class OracleResult:
     @property
     def feasible(self) -> bool:
         return self.feasible_count > 0
-
-    def best_schedule(self, tasks: list[Task], nodes: list[FogNode]) -> Schedule:
-        """Materialize the winning candidate as a schedule."""
-        if not self.feasible:
-            return Schedule(failed=[t.id for t in sorted(tasks, key=lambda t: t.id)])
-        assert self.best_rho is not None
-        entries, ok = _place_candidate(tasks, nodes,
-                                       self.best_assignment, self.best_rho)
-        assert ok
-        return Schedule(entries=entries, assignment=dict(self.best_assignment),
-                        selected_rho=self.best_rho)
 
 
 def _place_candidate(tasks: list[Task], nodes: list[FogNode],

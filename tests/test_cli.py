@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from fogsched import checks
 from fogsched.cli import (CSV_COLUMNS, EXIT_INVARIANT, EXIT_USAGE,
                           ExperimentConfig, main, run_experiment)
 from fogsched.workload import WorkloadSpec
@@ -178,3 +179,19 @@ def test_verify_passes_every_check(capsys):
     out = capsys.readouterr().out
     assert sum(line.startswith("PASS ") for line in out.splitlines()) == 9
     assert "9/9 checks passed" in out
+
+
+def test_verify_reports_failing_and_crashing_checks(monkeypatch, capsys):
+    def witness():
+        raise checks.CheckFailed("task 3 past deadline")
+
+    def crash():
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS",
+                        [("witness", witness), ("crash", crash)])
+    assert main(["verify"]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert "FAIL witness  task 3 past deadline" in out
+    assert "FAIL crash    raised ZeroDivisionError: division by zero" in out
+    assert "0/2 checks passed" in out

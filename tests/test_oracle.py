@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import make_node, make_task
-from fogsched.model import DvfsConfig, FaultModel
-from fogsched.oracle import exhaustive
+from fogsched.model import DvfsConfig, FaultModel, Schedule
+from fogsched.oracle import _place_candidate, exhaustive
 from fogsched.reliability import FaultSampler
 from fogsched.sim import TaskStatus, run
 from fogsched.workload import WorkloadSpec, generate
@@ -76,7 +76,11 @@ def test_best_schedule_replays_clean_in_simulator():
         res = exhaustive(inst.tasks, inst.nodes, dvfs)
         if not res.feasible:
             continue
-        sched = res.best_schedule(inst.tasks, inst.nodes)
+        entries, ok = _place_candidate(inst.tasks, inst.nodes,
+                                       res.best_assignment, res.best_rho)
+        assert ok
+        sched = Schedule(entries=entries, assignment=dict(res.best_assignment),
+                         selected_rho=res.best_rho)
         trace, rep = run(sched, inst, fm, FaultSampler(i))
         deadlines = {t.id: t.deadline for t in inst.tasks}
         assert all(st is TaskStatus.COMPLETED for st in trace.status.values())
