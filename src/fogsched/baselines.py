@@ -52,7 +52,6 @@ def _place(state: GapState, task: Task, node: FogNode, sched: Schedule) -> None:
     ext = task.length / node.mips
     entry = ScheduleEntry.make(task.id, node.id, start, ext, 1.0, Phase.PRIMARY)
     sched.entries.append(entry)
-    sched.assignment[task.id] = node.id
     state.occupy(node.id, task.npe, entry.completion)
 
 

@@ -24,7 +24,8 @@ from pathlib import Path
 
 from . import baselines, charts, checks, gap, sim
 from .model import (DvfsConfig, FaultModel, Instance, InvalidInstanceError,
-                    Schedule, check_instance, load_instance, save_instance)
+                    Schedule, check_instance, load_instance, record_from_dict,
+                    save_instance)
 from .reliability import FaultSampler
 from .workload import (DEFAULT_DVFS, DEFAULT_FAULT_MODEL, WorkloadSpec,
                        generate, paper_sweep)
@@ -141,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
             sampler = FaultSampler(run_seed)
             t0 = time.perf_counter()
             sched = _schedule_for(algorithm, inst, cfg, run_seed + "/" + algorithm)
-            trace, rep = sim.run(sched, inst, cfg.fault_model, sampler,
+            trace, rep = sim.run(sched, inst, inst.fault_model, sampler,
                                  detection=cfg.detection)
             wall_ms = int(round((time.perf_counter() - t0) * 1000))
             rows.append({
@@ -239,11 +240,9 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
     if "sweep" in doc:
         cfg.sweep = doc.pop("sweep")
     if "fault_model" in doc:
-        f = doc.pop("fault_model")
-        cfg.fault_model = FaultModel(lambda0=f["lambda0"], d=f["d"],
-                                     f_min=f["f_min"], d_volt=f.get("d_volt"))
+        cfg.fault_model = record_from_dict(FaultModel, doc.pop("fault_model"))
     if "dvfs" in doc:
-        cfg.dvfs = DvfsConfig(doc.pop("dvfs")["levels"])
+        cfg.dvfs = record_from_dict(DvfsConfig, doc.pop("dvfs"))
     if "seeds" in doc:
         cfg.seeds = int(doc.pop("seeds"))
     if "output_dir" in doc:
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config_file(args.config)
         if args.command == "run":
             cfg = _apply_flags(cfg, args)
-            cfg.validate()
+        cfg.validate()
     except OSError as exc:
         print(f"fogsched: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

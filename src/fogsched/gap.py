@@ -1,16 +1,17 @@
-"""Payoff-driven two-phase task scheduler with an outer DVFS selection loop.
+"""Payoff-driven task scheduler with an outer DVFS selection loop and a
+runtime cold-backup mapper.
 
-Phase 1 walks tasks in earliest-deadline-first order and maps each to the
-node with the best payoff, a normalized slack minus normalized energy score
-with an infeasible floor for deadline misses. Tasks with no feasible node
-are deferred to phase 2, which maps them as backups, preferring nodes with
-greater computing power and honouring each task's remaining time budget.
-The outer loop repeats both phases per DVFS level and keeps the candidate
-with lexicographically least (failed count, deferred count, total energy).
+At each DVFS level one pass walks tasks in earliest-deadline-first order
+and maps each to the node with the best payoff, a normalized slack minus
+normalized energy score with an infeasible floor for deadline misses. A
+task with no feasible node is deferred and fails the static schedule: lanes
+only fill as the pass goes on, so no later placement could meet its
+deadline. The outer loop keeps the level with lexicographically least
+(deferred count, total energy).
 
-The same phase-2 mapper doubles as the runtime backup dispatcher: the
-simulator hands it a live node state, a ready time (the fault detection
-instant) and the primary's node to exclude.
+Cold backups are a runtime mechanism: when a primary faults, the simulator
+hands map_backups the live node state, the fault detection instant and the
+primary's node to exclude.
 """
 
 from __future__ import annotations
@@ -24,28 +25,15 @@ from .model import (DvfsConfig, FaultModel, FogNode, Phase, Schedule,
 from .power import active_power, schedule_energy
 
 
-@dataclass(frozen=True)
-class GapConfig:
-    """Weights of the payoff components (slack minus energy by default)."""
-
-    slack_weight: float = 1.0
-    energy_weight: float = 1.0
-
-
 @dataclass
 class GapState:
-    """Mutable working state shared by both mapping phases.
+    """Per-node slot lanes shared by the mapper and the simulator.
 
     node_free holds one ascending next-free-time list per node, one slot per
     processor element; a task occupying k elements starts no earlier than the
-    k-th smallest slot time. remaining maps task id to the time budget left
-    for a backup run; ready maps task id to its earliest allowed start
-    (submit time, or the fault detection instant for runtime backups).
+    k-th smallest slot time.
     """
 
-    backup_queue: list[Task] = field(default_factory=list)
-    remaining: dict[int, float] = field(default_factory=dict)
-    ready: dict[int, float] = field(default_factory=dict)
     node_free: dict[int, list[float]] = field(default_factory=dict)
 
     @classmethod
@@ -95,22 +83,20 @@ def _node_table(nodes: list[FogNode], rho: float):
     ]
 
 
-def _best_node(task: Task, table, state: GapState, config: GapConfig,
+def _best_node(task: Task, table, state: GapState, ready: float,
                exclude: int | None = None, budget: float = math.inf):
     """The best-payoff placement of `task` over a node table, or None.
 
-    The candidate start is the later of the task's ready time and the node's
-    k-th free slot. A node is skipped when it is `exclude`, lacks the slots,
-    would need at least `budget` seconds, or would complete past the
-    deadline. The value is weighted normalized slack minus the energy of
-    this run normalized by the same run at full speed; ties break on lower
-    energy, then on table order. Returns (value, energy, node_id, start, ext).
+    The candidate start is the later of `ready` and the node's k-th free
+    slot. A node is skipped when it is `exclude`, lacks the slots, would
+    need at least `budget` seconds, or would complete past the deadline.
+    The value is normalized slack minus the energy of this run normalized
+    by the same run at full speed; ties break on lower energy, then on
+    table order. Returns (value, energy, node_id, start, ext).
     """
     length = task.length
     deadline = task.deadline
     npe = task.npe
-    ready = state.ready.get(task.id, task.submit_time)
-    w_s, w_e = config.slack_weight, config.energy_weight
     node_free = state.node_free
     best = None
     for node_id, slots, mips_rho, mips, p_rho, p_full in table:
@@ -125,106 +111,80 @@ def _best_node(task: Task, table, state: GapState, config: GapConfig,
         if ct > deadline:
             continue
         energy = p_rho * ext
-        value = w_s * ((deadline - ct) / deadline) \
-            - w_e * (energy / (p_full * (length / mips)))
+        value = (deadline - ct) / deadline - energy / (p_full * (length / mips))
         if best is None or value > best[0] or (value == best[0] and energy < best[1]):
             best = (value, energy, node_id, start, ext)
     return best
 
 
-def payoff(task: Task, node: FogNode, rho: float, state: GapState,
-           config: GapConfig = GapConfig()) -> float:
+def payoff(task: Task, node: FogNode, rho: float, state: GapState) -> float:
     """Payoff of placing `task` on `node` at rho given the current state;
     -inf when the placement misses the deadline or the node lacks slots."""
-    best = _best_node(task, _node_table([node], rho), state, config)
+    best = _best_node(task, _node_table([node], rho), state, task.submit_time)
     return -math.inf if best is None else best[0]
 
 
-def _place(sched: Schedule, state: GapState, task: Task, best, rho: float,
+def _place(state: GapState, task: Task, best, rho: float,
            phase: Phase) -> ScheduleEntry:
     _, _, node_id, start, ext = best
     entry = ScheduleEntry.make(task.id, node_id, start, ext, rho, phase)
-    sched.entries.append(entry)
-    sched.assignment[task.id] = node_id
     state.occupy(node_id, task.npe, entry.completion)
     return entry
 
 
 def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
-                  state: GapState, config: GapConfig = GapConfig()) -> Schedule:
-    """Phase 1: map EDF-ordered tasks to their best-payoff nodes.
+                  state: GapState) -> Schedule:
+    """Map EDF-ordered tasks to their best-payoff nodes.
 
-    Tasks with no feasible node join state.backup_queue (deferred to phase 2)
-    and raise cp. Assigned tasks get their slot reserved and their remaining
-    backup budget recorded as deadline minus planned completion; deferred
-    tasks keep their full submit-to-deadline window. The node choice ties
-    break on lower energy, then lower node id.
+    Tasks with no feasible node join backup_list (deferred) and raise cp;
+    assigned tasks get their slots reserved. The node choice ties break on
+    lower energy, then lower node id.
     """
     sched = Schedule(selected_rho=rho)
     table = _node_table(sorted(nodes, key=lambda n: n.id), rho)
     for task in tasks:
-        best = _best_node(task, table, state, config)
+        best = _best_node(task, table, state, task.submit_time)
         if best is None:
-            state.backup_queue.append(task)
-            state.remaining[task.id] = task.deadline - task.submit_time
             sched.backup_list.append(task.id)
-            continue
-        entry = _place(sched, state, task, best, rho, Phase.PRIMARY)
-        state.remaining[task.id] = task.deadline - entry.completion
+        else:
+            sched.entries.append(_place(state, task, best, rho, Phase.PRIMARY))
     return sched
 
 
-def map_backups(backup_queue: list[Task], nodes: list[FogNode], rho: float,
-                state: GapState, primary_assignment: dict[int, int],
-                config: GapConfig = GapConfig()) -> Schedule:
-    """Phase 2: map deferred or faulted tasks as backups.
+def map_backups(task: Task, nodes: list[FogNode], rho: float, state: GapState,
+                primary_node: int | None, now: float) -> ScheduleEntry | None:
+    """Map the cold backup of a task whose primary faulted, detected at `now`.
 
-    The queue is processed in ascending remaining-budget order. Candidate
-    nodes exclude the task's primary node (when one exists) and are walked in
-    descending computing power; a candidate must both meet the deadline and
-    finish within the remaining budget. Unplaceable tasks land in failed and
-    raise cb.
+    Candidate nodes exclude the primary's node (when given) and are walked
+    in descending computing power; a candidate must both meet the deadline
+    and finish strictly within the budget left, deadline minus now. Returns
+    the backup entry with its slots reserved in `state`, or None when no
+    node fits.
     """
-    sched = Schedule(selected_rho=rho)
-    queue = sorted(backup_queue,
-                   key=lambda t: (state.remaining.get(t.id, t.deadline - t.submit_time), t.id))
     table = _node_table(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho)
-    for task in queue:
-        budget = state.remaining.get(task.id, task.deadline - task.submit_time)
-        best = _best_node(task, table, state, config,
-                          primary_assignment.get(task.id), budget)
-        if best is None:
-            sched.failed.append(task.id)
-            continue
-        _place(sched, state, task, best, rho, Phase.BACKUP)
-    return sched
+    best = _best_node(task, table, state, now, primary_node, task.deadline - now)
+    return None if best is None else _place(state, task, best, rho, Phase.BACKUP)
 
 
 def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
-                 fault_model: FaultModel | None = None,
-                 config: GapConfig = GapConfig()) -> Schedule:
+                 fault_model: FaultModel | None = None) -> Schedule:
     """Build one candidate per DVFS level and keep the best.
 
-    Candidates are compared by (failed count, deferred count, total energy);
-    full ties keep the lowest level. fault_model is accepted for interface
-    symmetry with the simulator but plays no role in the static decision.
+    Candidates are compared by (deferred count, total energy); full ties
+    keep the lowest level. Deferred tasks fail, listed by ascending
+    submit-to-deadline window, then id. fault_model is accepted for
+    interface symmetry with the simulator but plays no role in the static
+    decision.
     """
     ordered = edf_sort(tasks)
+    window = {t.id: (t.deadline - t.submit_time, t.id) for t in tasks}
     nodes_by_id = {n.id: n for n in nodes}
     best_sched: Schedule | None = None
-    best_key = (math.inf, math.inf, math.inf)
+    best_key = (math.inf, math.inf)
     for rho in dvfs.levels:
-        state = GapState.fresh(nodes)
-        part1 = map_primaries(ordered, nodes, rho, state, config)
-        part2 = map_backups(state.backup_queue, nodes, rho, state, part1.assignment, config)
-        sched = Schedule(
-            entries=part1.entries + part2.entries,
-            assignment={**part1.assignment, **part2.assignment},
-            selected_rho=rho,
-            backup_list=part1.backup_list,
-            failed=part2.failed,
-        )
-        key = (len(sched.failed), sched.cp, schedule_energy(nodes_by_id, sched.entries))
+        sched = map_primaries(ordered, nodes, rho, GapState.fresh(nodes))
+        sched.failed = sorted(sched.backup_list, key=window.__getitem__)
+        key = (sched.cp, schedule_energy(nodes_by_id, sched.entries))
         if key < best_key:
             best_key = key
             best_sched = sched
@@ -233,7 +193,6 @@ def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
 
 
 def wgap_schedule(tasks: list[Task], nodes: list[FogNode],
-                  fault_model: FaultModel | None = None,
-                  config: GapConfig = GapConfig()) -> Schedule:
+                  fault_model: FaultModel | None = None) -> Schedule:
     """The scheduler without DVFS: the single full-speed level."""
-    return gap_schedule(tasks, nodes, DvfsConfig([1.0]), fault_model, config)
+    return gap_schedule(tasks, nodes, DvfsConfig([1.0]), fault_model)

@@ -9,7 +9,7 @@ malformed records can still be built, inspected, and reported on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -119,13 +119,12 @@ class ScheduleEntry:
 class Schedule:
     """The output of a scheduler run.
 
-    backup_list holds tasks deferred to the backup phase because no feasible
-    primary mapping existed; failed holds tasks that could not be mapped at
-    all. cp and cb are their lengths.
+    backup_list holds tasks deferred because no feasible primary mapping
+    existed; failed holds tasks the schedule does not run. cp and cb are
+    their lengths; assignment maps each entry's task to its node.
     """
 
     entries: list[ScheduleEntry] = field(default_factory=list)
-    assignment: dict[int, int] = field(default_factory=dict)
     selected_rho: float = 1.0
     backup_list: list[int] = field(default_factory=list)
     failed: list[int] = field(default_factory=list)
@@ -137,6 +136,10 @@ class Schedule:
     @property
     def cb(self) -> int:
         return len(self.failed)
+
+    @property
+    def assignment(self) -> dict[int, int]:
+        return {e.task_id: e.node_id for e in self.entries}
 
     def primary_entries(self) -> list[ScheduleEntry]:
         return [e for e in self.entries if e.phase is Phase.PRIMARY]
@@ -301,28 +304,36 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+class RecordKeyError(KeyError):
+    """A JSON record with a key its dataclass lacks, or without a required one."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def record_from_dict(cls, doc: dict, **convert):
+    """Build the dataclass record `cls` from a JSON object.
+
+    Every key must name a field of `cls`, and every field without a default
+    must be present; otherwise RecordKeyError names the offending keys.
+    `convert` maps a field name to a function applied to its value.
+    """
+    known = cls.__dataclass_fields__  # fields() per record raised peak RSS
+    unknown = sorted(set(doc) - known.keys())
+    if unknown:
+        raise RecordKeyError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    missing = [name for name, f in known.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise RecordKeyError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+
+
 def instance_from_dict(doc: dict, validate: bool = True) -> Instance:
-    tasks = [
-        Task(
-            id=t["id"], length=t["length"], deadline=t["deadline"],
-            submit_time=t["submit_time"], npe=t.get("npe", 1),
-            role=Role(t.get("role", "primary")), backup_of=t.get("backup_of"),
-        )
-        for t in doc["tasks"]
-    ]
-    nodes = [
-        FogNode(
-            id=n["id"], mips=n["mips"], bandwidth=n["bandwidth"], ram=n["ram"],
-            npe_slots=n["npe_slots"], v_max=n["v_max"], f_max=n["f_max"],
-            activity=n["activity"], load_cap=n["load_cap"],
-            static_power=n.get("static_power", 0.0),
-        )
-        for n in doc["nodes"]
-    ]
-    dvfs = DvfsConfig(doc["dvfs"]["levels"])
-    f = doc["fault_model"]
-    fm = FaultModel(lambda0=f["lambda0"], d=f["d"], f_min=f["f_min"],
-                    d_volt=f.get("d_volt"))
+    tasks = [record_from_dict(Task, t, role=Role) for t in doc["tasks"]]
+    nodes = [record_from_dict(FogNode, n) for n in doc["nodes"]]
+    dvfs = record_from_dict(DvfsConfig, doc["dvfs"])
+    fm = record_from_dict(FaultModel, doc["fault_model"])
     if validate:
         return validate_instance(tasks, nodes, dvfs, fm)
     return Instance(tasks, nodes, dvfs, fm)

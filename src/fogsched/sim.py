@@ -190,17 +190,13 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 push(dispatch_at, EventKind.BACKUP_DISPATCH, tid, (entry.node_id,))
         elif kind is EventKind.BACKUP_DISPATCH:
             (primary_node,) = payload
-            task = tasks_by_id[tid]
-            state.remaining[tid] = task.deadline - now
-            state.ready[tid] = now
-            frag = gap.map_backups([task], instance.nodes, rho, state,
-                                   {tid: primary_node})
-            if frag.failed:
+            backup = gap.map_backups(tasks_by_id[tid], instance.nodes, rho, state,
+                                     primary_node, now)
+            if backup is None:
                 trace.events.append(Event(now, EventKind.BACKUP_DISPATCH, tid))
                 trace.status[tid] = TaskStatus.FAILED
                 trace.cb += 1
                 continue
-            backup = frag.entries[0]
             trace.events.append(Event(now, EventKind.BACKUP_DISPATCH, tid,
                                       backup.node_id))
             push(backup.start, EventKind.START, tid, (backup, True))

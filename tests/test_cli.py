@@ -3,9 +3,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import make_node, make_task
 from fogsched import checks
-from fogsched.cli import (CSV_COLUMNS, EXIT_INVARIANT, EXIT_USAGE,
+from fogsched.cli import (CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO, EXIT_USAGE,
                           ExperimentConfig, main, run_experiment)
+from fogsched.model import (DvfsConfig, FaultModel, instance_to_dict,
+                            save_instance, validate_instance)
 from fogsched.workload import WorkloadSpec
 
 
@@ -107,6 +110,42 @@ def test_dump_instance_round_trips(tmp_path):
     assert code == 0
 
 
+def test_instance_runs_under_its_own_fault_model(tmp_path):
+    tasks = [make_task(id=i, length=1000, deadline=100.0) for i in range(1, 5)]
+    rows = {}
+    for name, lambda0 in (("calm", 0.0), ("storm", 1e9)):
+        inst = validate_instance(tasks, [make_node(id=1), make_node(id=2)],
+                                 DvfsConfig((1.0,)), FaultModel(lambda0, 3.0, 0.5))
+        save_instance(inst, str(tmp_path / f"{name}.json"))
+        rows[name] = run_experiment(ExperimentConfig(
+            algorithms=("fcfs",), instance_path=str(tmp_path / f"{name}.json"),
+            output_dir=str(tmp_path / name)))
+    assert rows["calm"][0]["reliability_estimate"] == 1.0
+    assert rows["storm"][0]["reliability_estimate"] == 0.0
+
+
+def test_instance_record_with_bad_keys_is_io_error(tmp_path, capsys):
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
+                             FaultModel(0.0, 3.0, 0.5))
+    # Unknown keys are added; a required key is removed.
+    for section, key, add in (("fault_model", "dvolt", True), ("dvfs", "lvls", True),
+                              ("tasks", "dedline", True), ("nodes", "mps", True),
+                              ("fault_model", "lambda0", False)):
+        doc = instance_to_dict(inst)
+        record = doc[section][0] if isinstance(doc[section], list) else doc[section]
+        if add:
+            record[key] = 1.0
+        else:
+            del record[key]
+        path = tmp_path / f"{section}-{key}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("fogsched:") and key in err
+        assert "Traceback" not in err
+
+
 def test_svg_charts_emitted_and_well_formed(tmp_path):
     cfg = ExperimentConfig(algorithms=("gap", "fcfs"), sweep="paper", seeds=1,
                            output_dir=str(tmp_path), emit=("csv", "svg"),
@@ -152,6 +191,9 @@ def test_verify_broken_dvfs_names_invariant(tmp_path, capsys):
     ({"pso": {"swarm_size": 1}}, "swarm_size"),
     ({"detection": "bogus"}, "bogus"),
     ({"master_sed": 5}, "master_sed"),
+    ({"fault_model": {"lambda0": 1e-6, "d": 3.0, "f_min": 0.5, "dvolt": 0.1}},
+     "dvolt"),
+    ({"dvfs": {"levels": [0.6, 1.0], "lvls": [1.0]}}, "lvls"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"
@@ -161,6 +203,16 @@ def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     assert code == EXIT_USAGE
     assert err.startswith("fogsched:") and needle in err
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_validates_config_before_any_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(checks, "ALL_CHECKS", [("never", pytest.fail)])
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"pso": {"swarm_size": 1}, "detection": "bogus"}))
+    assert main(["verify", "--config", str(cfg_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fogsched: bad config:")
+    assert captured.out == ""
 
 
 def test_cfg_validation():

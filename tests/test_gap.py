@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node, make_task
 from fogsched import sim
-from fogsched.gap import (GapConfig, GapState, edf_sort, exec_time,
-                          gap_schedule, map_backups, map_primaries, payoff,
-                          wgap_schedule)
+from fogsched.gap import (GapState, edf_sort, exec_time, gap_schedule,
+                          map_backups, map_primaries, payoff, wgap_schedule)
 from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
@@ -68,10 +69,9 @@ def test_payoff_worked_example():
     node = make_node(mips=1000)
     state = GapState.fresh([node])
     assert payoff(task, node, 1.0, state) == pytest.approx(-0.5, rel=REL)
-    slack_only = GapConfig(slack_weight=1.0, energy_weight=0.0)
-    energy_only = GapConfig(slack_weight=0.0, energy_weight=1.0)
-    assert payoff(task, node, 1.0, state, slack_only) == pytest.approx(0.5, rel=REL)
-    assert payoff(task, node, 1.0, state, energy_only) == pytest.approx(-1.0, rel=REL)
+    # At half speed CT lands on the deadline, so the slack term is 0 and the
+    # payoff is minus the energy ratio alone: 0.5^3 power over 2x the time.
+    assert payoff(task, node, 0.5, state) == pytest.approx(-0.25, rel=REL)
 
 
 def test_payoff_prefers_smaller_exec_time():
@@ -121,7 +121,6 @@ def test_map_primaries_impossible_task_joins_backup_queue():
     sched = map_primaries([task], nodes, 1.0, state)
     assert sched.cp == 1
     assert sched.backup_list == [1]
-    assert state.backup_queue == [task]
     assert not sched.entries
 
 
@@ -137,30 +136,28 @@ def test_map_backups_excludes_primary_node():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1, mips=2000), make_node(id=2)]
     state = GapState.fresh(nodes)
-    state.remaining[1] = 10.0
-    sched = map_backups([task], nodes, 1.0, state, {1: 1})
-    assert sched.entries[0].node_id == 2
-    assert sched.entries[0].phase is Phase.BACKUP
+    entry = map_backups(task, nodes, 1.0, state, 1, 0.0)
+    assert entry.node_id == 2
+    assert entry.phase is Phase.BACKUP
+    assert state.node_free[2] == [entry.completion]
 
 
 def test_map_backups_single_node_conflict_fails():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1)]
     state = GapState.fresh(nodes)
-    state.remaining[1] = 10.0
-    sched = map_backups([task], nodes, 1.0, state, {1: 1})
-    assert sched.failed == [1]
-    assert sched.cb == 1
+    assert map_backups(task, nodes, 1.0, state, 1, 0.0) is None
 
 
 def test_map_backups_budget_too_small_fails():
-    # Candidate execution takes 0.6 s but only 0.5 s of budget remains.
-    task = make_task(id=1, length=600, deadline=10.0)
+    # The 1 s run detected at t=9 would meet the deadline of 10 exactly, but
+    # it must fit strictly inside the 1 s left; a moment earlier it does.
+    task = make_task(id=1, length=1000, deadline=10.0)
     nodes = [make_node(id=1), make_node(id=2)]
     state = GapState.fresh(nodes)
-    state.remaining[1] = 0.5
-    sched = map_backups([task], nodes, 1.0, state, {1: 1})
-    assert sched.failed == [1]
+    assert map_backups(task, nodes, 1.0, state, 1, 9.0) is None
+    entry = map_backups(task, nodes, 1.0, state, 1, 8.999)
+    assert (entry.node_id, entry.start) == (2, 8.999)
 
 
 def test_map_backups_prefers_greater_computing_power():
@@ -168,9 +165,29 @@ def test_map_backups_prefers_greater_computing_power():
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)
     state = GapState.fresh([slow, fast])
-    state.remaining[1] = 100.0
-    sched = map_backups([task], [slow, fast], 1.0, state, {})
-    assert sched.entries[0].node_id == fast.id
+    assert map_backups(task, [slow, fast], 1.0, state, None, 0.0).node_id == fast.id
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_tasks=st.integers(1, 60), n_vms=st.integers(1, 8),
+       slack=st.floats(1.05, 3.5), horizon=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_deferred_task_has_no_static_backup(n_tasks, n_vms, slack, horizon, seed):
+    """gap_schedule fails every deferred task without a backup pass. That is
+    sound only while a deferred task, which missed its deadline on every
+    node, cannot be placed as a backup over the lanes its level leaves."""
+    inst = generate(WorkloadSpec(n_tasks=n_tasks, n_vms=n_vms,
+                                 slack_factor_range=(1.05, slack),
+                                 submit_mode="uniform", submit_horizon=horizon,
+                                 seed=seed))
+    by_id = {t.id: t for t in inst.tasks}
+    for rho in inst.dvfs.levels:
+        state = GapState.fresh(inst.nodes)
+        sched = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
+        for tid in sched.backup_list:
+            task = by_id[tid]
+            assert map_backups(task, inst.nodes, rho, state, None,
+                               task.submit_time) is None
 
 
 def test_gap_schedule_selects_low_rho_when_feasible():
@@ -343,23 +360,17 @@ def test_node_choice_tie_breaks():
     task = make_task(length=1000, deadline=10.0)
     cheap = make_node(id=1, mips=1000, load_cap=1e-9)
     fast = make_node(id=2, mips=2000, load_cap=8e-9)
-    # Default weights: the later-but-faster completion wins on slack.
+    # The sooner completion of the faster node wins on slack.
     state = GapState.fresh([cheap, fast])
     assert map_primaries([task], [cheap, fast], 1.0, state).assignment[1] == 2
-    # With slack weighted out, payoffs tie at full speed (the energy term is
-    # normalized per node) and the absolute-energy tie-break picks cheap.
-    state = GapState.fresh([cheap, fast])
-    thrifty = map_primaries([task], [cheap, fast], 1.0, state,
-                            GapConfig(slack_weight=0.0, energy_weight=1.0))
-    assert thrifty.assignment[1] == 1
-    # The energy tie-break wins over node order when the cheap node has the
-    # higher id.
+    # Equal MIPS give equal slack, and at full speed the energy term is 1 on
+    # every node (it is normalized per node), so payoffs tie; the
+    # absolute-energy tie-break wins over node order and picks the cheaper
+    # node with the higher id.
     pricey = make_node(id=1, load_cap=8e-9)
     frugal = make_node(id=2, load_cap=1e-9)
     state = GapState.fresh([pricey, frugal])
-    thrifty = map_primaries([task], [pricey, frugal], 1.0, state,
-                            GapConfig(slack_weight=0.0, energy_weight=1.0))
-    assert thrifty.assignment[1] == 2
+    assert map_primaries([task], [pricey, frugal], 1.0, state).assignment[1] == 2
     # Fully identical nodes fall through to the lower id.
     twins = [make_node(id=1), make_node(id=2)]
     state = GapState.fresh(twins)

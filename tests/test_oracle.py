@@ -79,8 +79,7 @@ def test_best_schedule_replays_clean_in_simulator():
         entries, ok = _place_candidate(inst.tasks, inst.nodes,
                                        res.best_assignment, res.best_rho)
         assert ok
-        sched = Schedule(entries=entries, assignment=dict(res.best_assignment),
-                         selected_rho=res.best_rho)
+        sched = Schedule(entries=entries, selected_rho=res.best_rho)
         trace, rep = run(sched, inst, fm, FaultSampler(i))
         deadlines = {t.id: t.deadline for t in inst.tasks}
         assert all(st is TaskStatus.COMPLETED for st in trace.status.values())
