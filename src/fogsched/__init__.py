@@ -13,8 +13,8 @@ from .model import (DvfsConfig, FaultEvent, FaultModel, FogNode, Instance,
 from .power import dynamic_power, entry_energy, scaled_vf, schedule_energy
 from .reliability import (FaultSampler, cpb_exec_time, fault_probability,
                           fault_rate_freq, fault_rate_volt, reliability)
-from .gap import (GapState, edf_sort, exec_time, gap_schedule, map_backups,
-                  map_primaries, payoff, wgap_schedule)
+from .gap import (GapState, backup_table, edf_sort, exec_time, gap_schedule,
+                  map_backups, map_primaries, payoff, wgap_schedule)
 from .baselines import (PsoConfig, fcfs_schedule, pso_schedule, rr_schedule,
                         sjf_schedule)
 from .sim import (Event, EventKind, RunTrace, TaskStatus, check_capacity,

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import baselines, charts, checks, gap, sim
 from .model import (DvfsConfig, FaultModel, Instance, InvalidInstanceError,
-                    Schedule, check_instance, load_instance, record_from_dict,
-                    save_instance)
+                    RecordError, Schedule, load_instance, record_from_dict,
+                    save_instance, validate_instance)
 from .reliability import FaultSampler
 from .workload import (DEFAULT_DVFS, DEFAULT_FAULT_MODEL, WorkloadSpec,
                        generate, paper_sweep)
@@ -44,9 +44,13 @@ EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_IO = 0, 1, 2, 3
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings. The JSON key of each field is its name, except
+    `instance` for instance_path; sweep, instance and workload are
+    alternative input sources, of which at most one may be set."""
+
     algorithms: tuple[str, ...] = ALGORITHMS
     workload: WorkloadSpec | None = None
-    instance_path: str | None = None
+    instance_path: str | None = field(default=None, metadata={"key": "instance"})
     sweep: str | None = None
     fault_model: FaultModel = DEFAULT_FAULT_MODEL
     dvfs: DvfsConfig = DEFAULT_DVFS
@@ -73,7 +77,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown sweep {self.sweep!r}")
         if self.detection not in sim.DETECTION_MODES:
             raise ValueError(f"unknown detection mode {self.detection!r}")
+        given = {"sweep": self.sweep, "instance": self.instance_path, "workload": self.workload}
+        sources = [name for name, value in given.items() if value is not None]
+        if len(sources) > 1:
+            raise ValueError(f"more than one input source: {', '.join(sources)}")
+        if self.workload is not None:
+            self.workload.validate()
         self.pso.validate()
+        validate_instance([], [], self.dvfs, self.fault_model)
 
 
 def _schedule_for(algorithm: str, inst: Instance, cfg: ExperimentConfig,
@@ -107,7 +118,7 @@ def _scenarios(cfg: ExperimentConfig) -> list[tuple[str, int, Instance]]:
         for k in range(cfg.seeds):
             items.append((name, k, inst))
     else:
-        base = cfg.workload or WorkloadSpec(n_tasks=50, n_vms=10)
+        base = cfg.workload or WorkloadSpec()
         for k in range(cfg.seeds):
             spec = replace(base, seed=f"{cfg.master_seed}/single/{k}",
                            scenario="single", seed_index=k)
@@ -131,10 +142,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     written to results.csv when csv is among the emit kinds.
     """
     cfg.validate()
+    scenarios = _scenarios(cfg)  # a bad input fails before any output exists
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for scenario, k, inst in _scenarios(cfg):
+    for scenario, k, inst in scenarios:
         if cfg.dump_instance:
             save_instance(inst, str(out / f"instance_{scenario}_{k:03d}.json"))
         for algorithm in cfg.algorithms:
@@ -220,72 +232,8 @@ def _write_charts(rows: list[dict], out: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration file and flag plumbing
+# configuration: flags and the JSON file are one document
 # ---------------------------------------------------------------------------
-
-def _config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = dict(doc)  # each known key is popped; whatever is left is unknown
-    cfg = ExperimentConfig()
-    if "algorithms" in doc:
-        cfg.algorithms = tuple(doc.pop("algorithms"))
-    workload = doc.pop("workload", None)
-    if workload is not None:
-        w = dict(workload)
-        for key in ("length_range", "mips_range", "npe_range", "slack_factor_range"):
-            if key in w:
-                w[key] = tuple(w[key])
-        cfg.workload = WorkloadSpec(**w)
-    if "instance" in doc:
-        cfg.instance_path = doc.pop("instance")
-    if "sweep" in doc:
-        cfg.sweep = doc.pop("sweep")
-    if "fault_model" in doc:
-        cfg.fault_model = record_from_dict(FaultModel, doc.pop("fault_model"))
-    if "dvfs" in doc:
-        cfg.dvfs = record_from_dict(DvfsConfig, doc.pop("dvfs"))
-    if "seeds" in doc:
-        cfg.seeds = int(doc.pop("seeds"))
-    if "output_dir" in doc:
-        cfg.output_dir = doc.pop("output_dir")
-    if "emit" in doc:
-        cfg.emit = tuple(doc.pop("emit"))
-    if "master_seed" in doc:
-        cfg.master_seed = doc.pop("master_seed")
-    if "pso" in doc:
-        cfg.pso = baselines.PsoConfig(**doc.pop("pso"))
-    if "detection" in doc:
-        cfg.detection = doc.pop("detection")
-    if doc:
-        raise ValueError(f"unknown config key(s): {', '.join(sorted(doc))}")
-    return cfg
-
-
-def _apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.algorithms:
-        cfg.algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.seeds is not None:
-        cfg.seeds = args.seeds
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.emit:
-        cfg.emit = tuple(e.strip() for e in args.emit.split(",") if e.strip())
-    if args.sweep is not None:
-        cfg.sweep = args.sweep
-    if args.instance is not None:
-        cfg.instance_path = args.instance
-    if args.tasks is not None or args.vms is not None:
-        base = cfg.workload or WorkloadSpec(n_tasks=50, n_vms=10)
-        if args.tasks is not None:
-            base.n_tasks = args.tasks
-        if args.vms is not None:
-            base.n_vms = args.vms
-        cfg.workload = base
-    if args.dump_instance:
-        cfg.dump_instance = True
-    return cfg
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
@@ -294,35 +242,53 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _csv(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fogsched",
-                     description="fog task-scheduling experiments")
+    """Each flag's dest is its config key; flags not given stay unset."""
+    parser = _Parser(prog="fogsched", description="fog task-scheduling experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment and write artifacts")
+    run_p = sub.add_parser("run", help="run an experiment and write artifacts",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--config", help="JSON experiment config")
-    run_p.add_argument("--seed", type=int, help="master seed")
+    run_p.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     run_p.add_argument("--seeds", type=int, help="replicas per scenario")
-    run_p.add_argument("--algorithms", help="comma list from: " + ",".join(ALGORITHMS))
-    run_p.add_argument("--tasks", type=int, help="task count of a single scenario")
-    run_p.add_argument("--vms", type=int, help="VM count of a single scenario")
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--emit", help="comma list from: csv,svg,trace")
+    run_p.add_argument("--algorithms", type=_csv,
+                       help="comma list from: " + ",".join(ALGORITHMS))
+    run_p.add_argument("--tasks", dest="n_tasks", type=int,
+                       help="task count of a single scenario")
+    run_p.add_argument("--vms", dest="n_vms", type=int,
+                       help="VM count of a single scenario")
+    run_p.add_argument("--out", dest="output_dir", help="output directory")
+    run_p.add_argument("--emit", type=_csv, help="comma list from: csv,svg,trace")
     run_p.add_argument("--sweep", choices=["paper"], help="run the standard sweep")
     run_p.add_argument("--instance", help="instance JSON file instead of a generator")
     run_p.add_argument("--dump-instance", action="store_true",
                        help="write generated instances for replay")
 
-    verify_p = sub.add_parser("verify", help="run the invariant checks")
+    verify_p = sub.add_parser("verify", help="run the invariant checks",
+                              argument_default=argparse.SUPPRESS)
     verify_p.add_argument("--config", help="JSON experiment config")
     return parser
 
 
-def _load_config_file(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return _config_from_dict(json.load(fh))
+def load_config(flags: dict) -> ExperimentConfig:
+    """Merge the flags that were set over the --config document (--tasks and
+    --vms into its workload block), parse and validate the result."""
+    doc = {}
+    if "config" in flags:
+        with open(flags.pop("config"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    workload = {k: flags.pop(k) for k in ("n_tasks", "n_vms") if k in flags}
+    doc = {**doc, **flags}
+    if workload:
+        doc["workload"] = {**(doc.get("workload") or {}), **workload}
+    cfg = record_from_dict(ExperimentConfig, doc)
+    cfg.validate()
+    return cfg
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -331,19 +297,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     except InvalidInstanceError as exc:
         print(f"fogsched: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, RecordError) as exc:
         print(f"fogsched: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    violations = check_instance([], [], cfg.dvfs, cfg.fault_model)
-    if violations:
-        for v in violations:
-            print(f"FAIL config-invariant     {v}")
-        print(f"\n{len(violations)} configuration invariant(s) violated")
-        return EXIT_INVARIANT
+def cmd_verify() -> int:
     results = checks.run_all()
     width = max(len(r.name) for r in results)
     failures = 0
@@ -356,19 +316,20 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
     try:
-        cfg = _load_config_file(args.config)
-        if args.command == "run":
-            cfg = _apply_flags(cfg, args)
-        cfg.validate()
+        cfg = load_config(flags)
     except OSError as exc:
         print(f"fogsched: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (KeyError, TypeError, ValueError) as exc:
+    except InvalidInstanceError as exc:
+        print(f"fogsched: invalid config: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (TypeError, ValueError) as exc:  # RecordError and JSONDecodeError too
         print(f"fogsched: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return cmd_run(cfg) if args.command == "run" else cmd_verify(cfg)
+    return cmd_run(cfg) if command == "run" else cmd_verify()
 
 
 if __name__ == "__main__":

@@ -151,17 +151,21 @@ def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
     return sched
 
 
-def map_backups(task: Task, nodes: list[FogNode], rho: float, state: GapState,
+def backup_table(nodes: list[FogNode], rho: float):
+    """The node table map_backups walks: descending computing power, ties by
+    id. Nodes and rho are fixed for a whole run, so build it once."""
+    return _node_table(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho)
+
+
+def map_backups(task: Task, table, rho: float, state: GapState,
                 primary_node: int | None, now: float) -> ScheduleEntry | None:
     """Map the cold backup of a task whose primary faulted, detected at `now`.
 
-    Candidate nodes exclude the primary's node (when given) and are walked
-    in descending computing power; a candidate must both meet the deadline
-    and finish strictly within the budget left, deadline minus now. Returns
-    the backup entry with its slots reserved in `state`, or None when no
-    node fits.
+    Candidate nodes come from `backup_table(nodes, rho)` minus the primary's
+    node (when given); a candidate must both meet the deadline and finish
+    strictly within the budget left, deadline minus now. Returns the backup
+    entry with its slots reserved in `state`, or None when no node fits.
     """
-    table = _node_table(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho)
     best = _best_node(task, table, state, now, primary_node, task.deadline - now)
     return None if best is None else _place(state, task, best, rho, Phase.BACKUP)
 

@@ -9,9 +9,12 @@ malformed records can still be built, inspected, and reported on.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field
+from contextlib import suppress
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Iterable
+from functools import cache
+from types import UnionType
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 
 class Role(str, Enum):
@@ -304,39 +307,70 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-class RecordKeyError(KeyError):
-    """A JSON record with a key its dataclass lacks, or without a required one."""
-
-    def __str__(self) -> str:
-        return self.args[0]
+class RecordError(ValueError):
+    """A JSON record with an unknown or missing key, or a value of the wrong type."""
 
 
-def record_from_dict(cls, doc: dict, **convert):
+@cache
+def _schema(cls) -> dict:
+    """{JSON key: (field name, type, required)} of a dataclass, resolved once
+    per class: fields() and type hints per record raised peak RSS."""
+    hints = get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (
+        f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)}
+
+
+def record_from_dict(cls, doc):
     """Build the dataclass record `cls` from a JSON object.
 
-    Every key must name a field of `cls`, and every field without a default
-    must be present; otherwise RecordKeyError names the offending keys.
-    `convert` maps a field name to a function applied to its value.
+    Every key must name a field of `cls` (its name, or its "key" metadata),
+    every field without a default must be present, and every value must
+    have its field's type: an int is accepted for a float, a list for a
+    tuple or list, an object for a nested record and a value for an enum.
+    Otherwise RecordError names the path to the offending key.
     """
-    known = cls.__dataclass_fields__  # fields() per record raised peak RSS
-    unknown = sorted(set(doc) - known.keys())
-    if unknown:
-        raise RecordKeyError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    missing = [name for name, f in known.items() if name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise RecordKeyError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+    return _convert(cls, doc, cls.__name__)
 
 
-def instance_from_dict(doc: dict, validate: bool = True) -> Instance:
-    tasks = [record_from_dict(Task, t, role=Role) for t in doc["tasks"]]
-    nodes = [record_from_dict(FogNode, n) for n in doc["nodes"]]
-    dvfs = record_from_dict(DvfsConfig, doc["dvfs"])
-    fm = record_from_dict(FaultModel, doc["fault_model"])
-    if validate:
-        return validate_instance(tasks, nodes, dvfs, fm)
-    return Instance(tasks, nodes, dvfs, fm)
+def _convert(tp, value, where: str):
+    if type(value) is tp or (tp is float and type(value) is int):
+        return value
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        arms = [a for a in args if a is not type(None)]
+        if value is None and len(arms) < len(args):
+            return None
+        if len(arms) == 1:
+            return _convert(arms[0], value, where)
+        if type(value) in arms:  # scalar unions such as int | str
+            return value
+    elif origin in (tuple, list):
+        items = args if origin is tuple and args[-1] is not Ellipsis else None
+        if type(value) is list and (items is None or len(items) == len(value)):
+            return origin(_convert(items[i] if items else args[0], v, f"{where}[{i}]")
+                          for i, v in enumerate(value))
+    elif is_dataclass(tp):
+        if type(value) is dict:
+            schema = _schema(tp)
+            unknown = sorted(set(value) - schema.keys())
+            if unknown:
+                raise RecordError(f"{where}: unknown key(s) {', '.join(unknown)}")
+            missing = [k for k, (_, _, required) in schema.items()
+                       if required and k not in value]
+            if missing:
+                raise RecordError(f"{where}: missing key(s) {', '.join(missing)}")
+            return tp(**{schema[k][0]: _convert(schema[k][1], v, f"{where}.{k}")
+                         for k, v in value.items()})
+    elif issubclass(tp, Enum):
+        with suppress(ValueError):
+            return tp(value)
+    raise RecordError(f"{where} must be {tp if origin else tp.__name__}, not {value!r}")
+
+
+def instance_from_dict(doc: dict) -> Instance:
+    inst = record_from_dict(Instance, doc)
+    return validate_instance(inst.tasks, inst.nodes, inst.dvfs, inst.fault_model)
 
 
 def dumps_instance(inst: Instance) -> str:
@@ -348,6 +382,6 @@ def save_instance(inst: Instance, path: str) -> None:
         fh.write(dumps_instance(inst))
 
 
-def load_instance(path: str, validate: bool = True) -> Instance:
+def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh), validate=validate)
+        return instance_from_dict(json.load(fh))

@@ -71,7 +71,6 @@ class RunTrace:
     waits: dict[int, float] = field(default_factory=dict)
     completion: dict[int, float] = field(default_factory=dict)
     cp: int = 0
-    cb: int = 0
 
 
 def run(schedule: Schedule, instance: Instance, fm: FaultModel,
@@ -95,10 +94,11 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
         if tid not in tasks_by_id:
             raise ValueError(f"schedule references unknown task id {tid}")
 
-    trace = RunTrace(cp=schedule.cp, cb=schedule.cb)
+    trace = RunTrace(cp=schedule.cp)
     state = gap.GapState.fresh(instance.nodes)
     lanes = state.node_free
     rho = schedule.selected_rho
+    backup_table = gap.backup_table(instance.nodes, rho)
     lam = fault_rate_freq(fm, rho)
 
     for tid in schedule.failed:
@@ -152,7 +152,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             lane = lanes[entry.node_id]
             if task.npe > len(lane):
                 trace.status[tid] = TaskStatus.FAILED
-                trace.cb += 1
                 continue
             avail = lane[task.npe - 1]
             start = max(now, avail, task.submit_time)
@@ -185,17 +184,15 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 dispatch_at = planned_completion
             if entry.phase is Phase.BACKUP:
                 trace.status[tid] = TaskStatus.FAILED
-                trace.cb += 1
             else:
                 push(dispatch_at, EventKind.BACKUP_DISPATCH, tid, (entry.node_id,))
         elif kind is EventKind.BACKUP_DISPATCH:
             (primary_node,) = payload
-            backup = gap.map_backups(tasks_by_id[tid], instance.nodes, rho, state,
+            backup = gap.map_backups(tasks_by_id[tid], backup_table, rho, state,
                                      primary_node, now)
             if backup is None:
                 trace.events.append(Event(now, EventKind.BACKUP_DISPATCH, tid))
                 trace.status[tid] = TaskStatus.FAILED
-                trace.cb += 1
                 continue
             trace.events.append(Event(now, EventKind.BACKUP_DISPATCH, tid,
                                       backup.node_id))
@@ -208,7 +205,7 @@ def report(trace: RunTrace, instance: Instance) -> MetricsReport:
     """Aggregate a finished trace into a metrics report.
 
     Mean completion and wait run over executed tasks and are None when no
-    task executed.
+    task executed. cb counts the tasks that end FAILED.
     """
     nodes_by_id = {n.id: n for n in instance.nodes}
     tasks_by_id = {t.id: t for t in instance.tasks}
@@ -235,7 +232,7 @@ def report(trace: RunTrace, instance: Instance) -> MetricsReport:
         avg_wait=awt,
         avg_power=avg_power,
         cp=trace.cp,
-        cb=trace.cb,
+        cb=n_failed,
         missed_deadlines=missed,
         reliability_estimate=reliability,
     )

@@ -44,8 +44,8 @@ SWEEP_SLACK = (1.05, 1.6)
 class WorkloadSpec:
     """Parameters of one random instance. Equal specs generate equal instances."""
 
-    n_tasks: int
-    n_vms: int
+    n_tasks: int = 50
+    n_vms: int = 10
     length_range: tuple[int, int] = (1000, 2000)
     mips_range: tuple[int, int] = (1000, 2000)
     npe_range: tuple[int, int] = (1, 8)

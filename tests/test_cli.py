@@ -1,12 +1,15 @@
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from conftest import make_node, make_task
 from fogsched import checks
+from fogsched.baselines import PsoConfig
 from fogsched.cli import (CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO, EXIT_USAGE,
-                          ExperimentConfig, main, run_experiment)
+                          ExperimentConfig, load_config, main, run_experiment)
 from fogsched.model import (DvfsConfig, FaultModel, instance_to_dict,
                             save_instance, validate_instance)
 from fogsched.workload import WorkloadSpec
@@ -57,9 +60,10 @@ def test_unknown_algorithm_is_usage_error(tmp_path, capsys):
 
 def test_unreadable_instance_is_io_error(tmp_path, capsys):
     code = main(["run", "--instance", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path)])
+                 "--out", str(tmp_path / "o")])
     assert code == 3
     assert capsys.readouterr().err.strip()
+    assert not (tmp_path / "o").exists()
 
 
 def test_malformed_instance_is_io_error(tmp_path, capsys):
@@ -182,9 +186,87 @@ def test_verify_broken_dvfs_names_invariant(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"dvfs": {"levels": [0.8, 0.6]}}))
     code = main(["verify", "--config", str(cfg_path)])
-    out = capsys.readouterr().out
+    err = capsys.readouterr().err
     assert code == EXIT_INVARIANT
-    assert "strictly increasing" in out or "contain 1.0" in out
+    assert "strictly increasing" in err or "contain 1.0" in err
+
+
+def test_run_with_broken_dvfs_is_invariant_error_before_output(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"dvfs": {"levels": [0.8, 0.6]}}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_INVARIANT
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("tasks", "role", "bogus"),
+    ("tasks", "length", "1000"),
+    ("tasks", "npe", True),
+    ("nodes", "mips", None),
+    ("dvfs", "levels", None),
+    ("fault_model", None, 5),
+    ("tasks", None, {}),
+])
+def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, key, value):
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
+                             FaultModel(0.0, 3.0, 0.5))
+    doc = instance_to_dict(inst)
+    if key is None:
+        doc[section] = value
+    else:
+        record = doc[section][0] if isinstance(doc[section], list) else doc[section]
+        record[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("fogsched:") and (key or section) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,sources", [
+    (["--tasks", "50", "--vms", "9"], "instance, workload"),
+    (["--sweep", "paper"], "sweep, instance"),
+])
+def test_two_input_sources_are_usage_error(tmp_path, capsys, args, sources):
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
+                             FaultModel(0.0, 3.0, 0.5))
+    save_instance(inst, str(tmp_path / "f.json"))
+    code = main(["run", "--instance", str(tmp_path / "f.json"), *args,
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert sources in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_vms_flag_keeps_config_workload_tasks(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"algorithms": ["fcfs"],
+                                    "workload": {"n_tasks": 6, "n_vms": 2}}))
+    code = main(["run", "--config", str(cfg_path), "--vms", "3",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    row = (tmp_path / "o" / "results.csv").read_text().splitlines()[1].split(",")
+    assert row[CSV_COLUMNS.index("n_tasks")] == "6"
+    assert row[CSV_COLUMNS.index("n_vms")] == "3"
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    assert load_config({"config": str(cfg_path)}) == ExperimentConfig(
+        algorithms=("gap", "wgap", "fcfs"),
+        workload=WorkloadSpec(n_tasks=200, n_vms=20, slack_factor_range=(1.5, 4.0),
+                              submit_mode="uniform", submit_horizon=3.0),
+        dvfs=DvfsConfig((0.6, 0.7, 0.8, 0.9, 1.0)),
+        fault_model=FaultModel(lambda0=1e-6, d=3.0, f_min=0.5),
+        pso=PsoConfig(swarm_size=30, iterations=100),
+        seeds=10, master_seed=42, output_dir="out", emit=("csv",))
 
 
 @pytest.mark.parametrize("doc,needle", [
@@ -194,14 +276,26 @@ def test_verify_broken_dvfs_names_invariant(tmp_path, capsys):
     ({"fault_model": {"lambda0": 1e-6, "d": 3.0, "f_min": 0.5, "dvolt": 0.1}},
      "dvolt"),
     ({"dvfs": {"levels": [0.6, 1.0], "lvls": [1.0]}}, "lvls"),
+    # Values of the wrong JSON type, at the top level and inside blocks.
+    ({"seeds": 2.7}, "seeds"),
+    ({"algorithms": "gap"}, "algorithms"),
+    ({"emit": ["csv", 3]}, "emit"),
+    ({"master_seed": [1]}, "master_seed"),
+    ({"dump_instance": "yes"}, "dump_instance"),
+    ({"workload": {"n_tasks": "4", "n_vms": 2}}, "n_tasks"),
+    ({"workload": {"length_range": [1, 2, 3]}}, "length_range"),
+    ({"pso": {"swarm_size": 3.5}}, "swarm_size"),
+    ({"fault_model": {"lambda0": "1e-6", "d": 3.0, "f_min": 0.5}}, "lambda0"),
+    ({"instance_path": "f.json"}, "instance_path"),  # the key is "instance"
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({**doc, "workload": {"n_tasks": 4, "n_vms": 2}}))
+    cfg_path.write_text(json.dumps({"workload": {"n_tasks": 4, "n_vms": 2}, **doc}))
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("fogsched:") and needle in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import make_node, make_task
 from fogsched import sim
-from fogsched.gap import (GapState, edf_sort, exec_time, gap_schedule,
-                          map_backups, map_primaries, payoff, wgap_schedule)
+from fogsched.gap import (GapState, backup_table, edf_sort, exec_time,
+                          gap_schedule, map_backups, map_primaries, payoff,
+                          wgap_schedule)
 from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
@@ -136,7 +137,7 @@ def test_map_backups_excludes_primary_node():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1, mips=2000), make_node(id=2)]
     state = GapState.fresh(nodes)
-    entry = map_backups(task, nodes, 1.0, state, 1, 0.0)
+    entry = map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 0.0)
     assert entry.node_id == 2
     assert entry.phase is Phase.BACKUP
     assert state.node_free[2] == [entry.completion]
@@ -146,7 +147,7 @@ def test_map_backups_single_node_conflict_fails():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1)]
     state = GapState.fresh(nodes)
-    assert map_backups(task, nodes, 1.0, state, 1, 0.0) is None
+    assert map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 0.0) is None
 
 
 def test_map_backups_budget_too_small_fails():
@@ -155,8 +156,8 @@ def test_map_backups_budget_too_small_fails():
     task = make_task(id=1, length=1000, deadline=10.0)
     nodes = [make_node(id=1), make_node(id=2)]
     state = GapState.fresh(nodes)
-    assert map_backups(task, nodes, 1.0, state, 1, 9.0) is None
-    entry = map_backups(task, nodes, 1.0, state, 1, 8.999)
+    assert map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 9.0) is None
+    entry = map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 8.999)
     assert (entry.node_id, entry.start) == (2, 8.999)
 
 
@@ -165,7 +166,8 @@ def test_map_backups_prefers_greater_computing_power():
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)
     state = GapState.fresh([slow, fast])
-    assert map_backups(task, [slow, fast], 1.0, state, None, 0.0).node_id == fast.id
+    table = backup_table([slow, fast], 1.0)
+    assert map_backups(task, table, 1.0, state, None, 0.0).node_id == fast.id
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,10 +186,10 @@ def test_deferred_task_has_no_static_backup(n_tasks, n_vms, slack, horizon, seed
     for rho in inst.dvfs.levels:
         state = GapState.fresh(inst.nodes)
         sched = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
+        table = backup_table(inst.nodes, rho)
         for tid in sched.backup_list:
             task = by_id[tid]
-            assert map_backups(task, inst.nodes, rho, state, None,
-                               task.submit_time) is None
+            assert map_backups(task, table, rho, state, None, task.submit_time) is None
 
 
 def test_gap_schedule_selects_low_rho_when_feasible():

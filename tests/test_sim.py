@@ -77,6 +77,15 @@ def test_replay_is_byte_identical(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_cb_counts_a_task_missing_from_the_schedule():
+    tasks = [make_task(id=1, deadline=5.0), make_task(id=2, deadline=5.0)]
+    inst = simple_instance(tasks, [make_node()])
+    sched = Schedule(entries=[ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0)])
+    trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(4))
+    assert trace.status[2] is TaskStatus.FAILED
+    assert (rep.cb, rep.reliability_estimate) == (1, 0.5)
+
+
 def test_three_serialized_tasks_wait_0_1_2():
     tasks = [make_task(id=i, length=1000, deadline=100.0) for i in (1, 2, 3)]
     node = make_node()
