@@ -17,7 +17,6 @@ PALETTE = {
     "rr": "#9467bd",
     "pso": "#8c564b",
 }
-_FALLBACK = ("#17becf", "#bcbd22", "#e377c2", "#7f7f7f")
 
 
 def _fmt(x: float) -> str:
@@ -67,9 +66,8 @@ def line_chart(title: str, x_label: str, y_label: str, x_values: list[float],
                    f'y2="{py(y):.1f}" stroke="black"/>')
         out.append(f'<text x="{MARGIN_L - 9}" y="{py(y) + 4:.1f}" '
                    f'text-anchor="end">{_fmt(y)}</text>')
-    fallback = iter(_FALLBACK * 8)
     for li, (label, vals) in enumerate(series.items()):
-        color = PALETTE.get(label) or next(fallback)
+        color = PALETTE[label]
         pts = [(px(x), py(y)) for x, y in zip(xs, vals) if y is not None]
         if pts:
             path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)

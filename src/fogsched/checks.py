@@ -1,9 +1,9 @@
 """Named invariant checks behind the `verify` CLI command.
 
 Each check raises CheckFailed naming the first witness of a broken property
-and otherwise returns its evidence as a dict. Budgets are sized for an
-interactive run of a few seconds; the acceptance suite runs the same checks
-at full scale.
+and otherwise returns its evidence as a dict. The deadline-safety and
+backup-separation budgets are sized for an interactive run of a few seconds;
+the acceptance suite runs those two at full scale.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def check_equation_examples() -> dict:
     return {"examples": len(checks)}
 
 
-def check_cubic_power(samples: int = 1000) -> dict:
+def check_cubic_power() -> dict:
+    samples = 1000
     rng = random.Random(4242)
     worst = 0.0
     for _ in range(samples):
@@ -126,7 +127,8 @@ def check_backup_separation(runs: int = 100) -> dict:
     return {"runs": runs, "backups": backups}
 
 
-def check_oracle_bounding(instances: int = 200) -> dict:
+def check_oracle_bounding() -> dict:
+    instances = 200
     rng = random.Random(999)
     dvfs = DvfsConfig((0.6, 0.8, 1.0))
     ratios = []
@@ -150,7 +152,8 @@ def check_oracle_bounding(instances: int = 200) -> dict:
             "median": median}
 
 
-def check_fault_statistics(samples: int = 100_000) -> dict:
+def check_fault_statistics() -> dict:
+    samples = 100_000
     points = [(1e-3, 250.0), (7e-4, 1000.0), (2.5e-3, 500.0)]
     worst = 0.0
     for k, (lam, t) in enumerate(points):
@@ -188,7 +191,8 @@ def check_determinism() -> dict:
     return {"replays": len(outputs)}
 
 
-def check_workload_ranges(draws: int = 10_000) -> dict:
+def check_workload_ranges() -> dict:
+    draws = 10_000
     inst = generate(WorkloadSpec(n_tasks=draws, n_vms=50, seed=9))
     ok = all(1000 <= t.length <= 2000 for t in inst.tasks) \
         and all(1000 <= n.mips <= 2000 for n in inst.nodes) \

@@ -28,7 +28,7 @@ from .model import (DvfsConfig, FaultModel, Instance, InvalidInstanceError,
                     save_instance, validate_instance)
 from .reliability import FaultSampler
 from .workload import (DEFAULT_DVFS, DEFAULT_FAULT_MODEL, WorkloadSpec,
-                       generate, paper_sweep)
+                       generate, paper_sweep, run_seed)
 
 ALGORITHMS = ("gap", "wgap", "fcfs", "sjf", "rr", "pso")
 EMIT_KINDS = ("csv", "svg", "trace")
@@ -68,8 +68,12 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms repeat a name: {','.join(self.algorithms)}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if not self.emit:
+            raise ValueError("emit must be nonempty")
         for e in self.emit:
             if e not in EMIT_KINDS:
                 raise ValueError(f"unknown emit kind {e!r}")
@@ -83,12 +87,16 @@ class ExperimentConfig:
             raise ValueError(f"more than one input source: {', '.join(sources)}")
         if self.workload is not None:
             self.workload.validate()
+            for key in ("seed", "scenario", "seed_index"):
+                if getattr(self.workload, key) != getattr(WorkloadSpec, key):
+                    raise ValueError(f"workload.{key} is set by each run from "
+                                     "master_seed; remove it")
         self.pso.validate()
         validate_instance([], [], self.dvfs, self.fault_model)
 
 
 def _schedule_for(algorithm: str, inst: Instance, cfg: ExperimentConfig,
-                  run_seed: str) -> Schedule:
+                  cell_seed: str) -> Schedule:
     if algorithm == "gap":
         return gap.gap_schedule(inst.tasks, inst.nodes, inst.dvfs, inst.fault_model)
     if algorithm == "wgap":
@@ -100,7 +108,7 @@ def _schedule_for(algorithm: str, inst: Instance, cfg: ExperimentConfig,
     if algorithm == "rr":
         return baselines.rr_schedule(inst.tasks, inst.nodes)
     if algorithm == "pso":
-        seed = int.from_bytes(run_seed.encode(), "big") % (2**32)
+        seed = int.from_bytes(cell_seed.encode(), "big") % (2**32)
         return baselines.pso_schedule(inst.tasks, inst.nodes, cfg.pso, seed=seed)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -120,8 +128,7 @@ def _scenarios(cfg: ExperimentConfig) -> list[tuple[str, int, Instance]]:
     else:
         base = cfg.workload or WorkloadSpec()
         for k in range(cfg.seeds):
-            spec = replace(base, seed=f"{cfg.master_seed}/single/{k}",
-                           scenario="single", seed_index=k)
+            spec = replace(base, seed=run_seed(cfg.master_seed, "single", k))
             inst = generate(spec, fault_model=cfg.fault_model, dvfs=cfg.dvfs)
             items.append(("single", k, inst))
     return items
@@ -149,11 +156,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for scenario, k, inst in scenarios:
         if cfg.dump_instance:
             save_instance(inst, str(out / f"instance_{scenario}_{k:03d}.json"))
+        seed = run_seed(cfg.master_seed, scenario, k)
         for algorithm in cfg.algorithms:
-            run_seed = f"{cfg.master_seed}/{scenario}/{k}"
-            sampler = FaultSampler(run_seed)
+            sampler = FaultSampler(seed)
             t0 = time.perf_counter()
-            sched = _schedule_for(algorithm, inst, cfg, run_seed + "/" + algorithm)
+            sched = _schedule_for(algorithm, inst, cfg, f"{seed}/{algorithm}")
             trace, rep = sim.run(sched, inst, inst.fault_model, sampler,
                                  detection=cfg.detection)
             wall_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -199,32 +206,28 @@ def _write_charts(rows: list[dict], out: Path) -> None:
     """Per-scenario means, normalized by the max across algorithms."""
     metrics = [("total_energy_j", "energy"), ("act_s", "act"),
                ("awt_s", "awt"), ("avg_power_w", "power")]
-    algorithms = sorted({r["algorithm"] for r in rows},
-                        key=lambda a: ALGORITHMS.index(a) if a in ALGORITHMS else 99)
+    algorithms = sorted({r["algorithm"] for r in rows}, key=ALGORITHMS.index)
+    groups: dict[tuple[str, float, str], list[dict]] = {}
+    for r in rows:
+        axis = _scenario_axis(r["scenario_id"])
+        if axis is not None:
+            groups.setdefault((*axis, r["algorithm"]), []).append(r)
     for family in ("tasks", "vms"):
-        scenarios = sorted({(r["scenario_id"], _scenario_axis(r["scenario_id"])[1])
-                            for r in rows
-                            if (_scenario_axis(r["scenario_id"]) or ("", 0))[0] == family},
-                           key=lambda s: s[1])
-        if not scenarios:
+        xs = sorted({x for f, x, _ in groups if f == family})
+        if not xs:
             continue
-        xs = [x for _, x in scenarios]
         for column, short in metrics:
             series: dict[str, list[float | None]] = {a: [] for a in algorithms}
-            for scenario, _ in scenarios:
+            for x in xs:
                 means = {}
                 for a in algorithms:
-                    vals = [r[column] for r in rows
-                            if r["scenario_id"] == scenario and r["algorithm"] == a
-                            and r[column] is not None]
+                    vals = [r[column] for r in groups.get((family, x, a), ())
+                            if r[column] is not None]
                     means[a] = sum(vals) / len(vals) if vals else None
                 peak = max((v for v in means.values() if v is not None), default=None)
                 for a in algorithms:
                     v = means[a]
-                    if v is None or peak is None or peak == 0:
-                        series[a].append(None if v is None else 0.0)
-                    else:
-                        series[a].append(v / peak)
+                    series[a].append(None if v is None else v / peak if peak else 0.0)
             charts.write_chart(
                 str(out / f"{short}_vs_{family}.svg"),
                 f"normalized {short} vs {family}", family,

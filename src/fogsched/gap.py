@@ -199,4 +199,4 @@ def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
 def wgap_schedule(tasks: list[Task], nodes: list[FogNode],
                   fault_model: FaultModel | None = None) -> Schedule:
     """The scheduler without DVFS: the single full-speed level."""
-    return gap_schedule(tasks, nodes, DvfsConfig([1.0]), fault_model)
+    return gap_schedule(tasks, nodes, DvfsConfig((1.0,)), fault_model)

@@ -14,16 +14,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from types import UnionType
-from typing import Iterable, Union, get_args, get_origin, get_type_hints
-
-
-class Role(str, Enum):
-    PRIMARY = "primary"
-    BACKUP = "backup"
+from typing import Union, get_args, get_origin, get_type_hints
 
 
 class Phase(str, Enum):
-    """Which execution slot a schedule entry occupies."""
+    """Primary or backup: a task's role and the slot a schedule entry occupies."""
 
     PRIMARY = "primary"
     BACKUP = "backup"
@@ -43,7 +38,7 @@ class Task:
     deadline: float      # s
     submit_time: float   # s
     npe: int = 1
-    role: Role = Role.PRIMARY
+    role: Phase = Phase.PRIMARY
     backup_of: int | None = None
 
 
@@ -74,9 +69,6 @@ class DvfsConfig:
     """Ordered voltage/frequency scale factors; the last level is full speed."""
 
     levels: tuple[float, ...]
-
-    def __init__(self, levels: Iterable[float]):
-        object.__setattr__(self, "levels", tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             out.append(Violation("task", t.id, "deadline", "deadline must exceed submit_time"))
         if not 1 <= t.npe <= NPE_MAX:
             out.append(Violation("task", t.id, "npe", f"npe must be in [1, {NPE_MAX}]"))
-        if (t.role is Role.BACKUP) != (t.backup_of is not None):
+        if (t.role is Phase.BACKUP) != (t.backup_of is not None):
             out.append(Violation("task", t.id, "backup_of",
                                  "backup_of must be set exactly when role is backup"))
 
@@ -298,15 +290,6 @@ def validate_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
 # instance always round-trips to identical bytes.
 # ---------------------------------------------------------------------------
 
-def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "tasks": [{**asdict(t), "role": t.role.value} for t in inst.tasks],
-        "nodes": [asdict(n) for n in inst.nodes],
-        "dvfs": {"levels": list(inst.dvfs.levels)},
-        "fault_model": asdict(inst.fault_model),
-    }
-
-
 class RecordError(ValueError):
     """A JSON record with an unknown or missing key, or a value of the wrong type."""
 
@@ -374,7 +357,7 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(inst), sort_keys=True, indent=2) + "\n"
 
 
 def save_instance(inst: Instance, path: str) -> None:

@@ -74,8 +74,6 @@ def exhaustive(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig) -> Ora
         raise ValueError(
             f"search space {space} exceeds the {ENUMERATION_LIMIT} candidate guard")
     result = OracleResult(enumerated=space)
-    if m == 0 and n > 0:
-        return result
     ordered = sorted(tasks, key=lambda t: t.id)
     node_ids = [nd.id for nd in sorted(nodes, key=lambda nd: nd.id)]
     for rho in dvfs.levels:

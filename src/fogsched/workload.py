@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import DvfsConfig, FaultModel, FogNode, Instance, Task, validate_instance
+from .model import (NPE_MAX, DvfsConfig, FaultModel, FogNode, Instance, Task,
+                    validate_instance)
 
 # Per-VM RAM and bandwidth, carried as configuration only.
 VM_RAM_MB = 256.0
@@ -66,6 +67,20 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must satisfy lo <= hi")
         if self.submit_mode not in ("zero", "uniform"):
             raise ValueError(f"unknown submit_mode {self.submit_mode!r}")
+        # Bounds of check_instance on the extreme draws, so a range that can
+        # only generate invalid records fails here, naming its key.
+        for name in ("length_range", "mips_range"):
+            if getattr(self, name)[0] <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.npe_range[0] < 1 or self.npe_range[1] > NPE_MAX:
+            raise ValueError(f"npe_range must lie in [1, {NPE_MAX}]")
+        slack = self.slack_factor_range[0]
+        shortest = min(self.length_range[0] * slack, self.length_range[1] * slack)
+        if self.deadline_base + shortest / self.mips_range[0] <= 0:
+            raise ValueError("deadline_base and slack_factor_range must put "
+                             "every deadline after its submit time")
+        if self.submit_horizon < 0 or (self.submit_horizon and self.submit_mode != "uniform"):
+            raise ValueError('submit_horizon must be >= 0, and 0 unless submit_mode is "uniform"')
 
 
 def generate(spec: WorkloadSpec,
@@ -104,6 +119,12 @@ def generate(spec: WorkloadSpec,
     return validate_instance(tasks, nodes, dvfs, fault_model)
 
 
+def run_seed(master_seed: int | str, scenario: str, k: int) -> str:
+    """The seed of replica k of a scenario: its instance draws and fault
+    sampler, and, suffixed with "/<algorithm>", the PSO stream."""
+    return f"{master_seed}/{scenario}/{k}"
+
+
 def paper_sweep(seeds: int = 10, master_seed: int | str = 0) -> list[WorkloadSpec]:
     """The standard scenario grid: task counts at 100 VMs, VM counts at
     1000 tasks, `seeds` replicas each.
@@ -122,7 +143,7 @@ def paper_sweep(seeds: int = 10, master_seed: int | str = 0) -> list[WorkloadSpe
                 n_tasks=n_tasks, n_vms=n_vms,
                 slack_factor_range=SWEEP_SLACK,
                 submit_mode="uniform", submit_horizon=horizon,
-                seed=f"{master_seed}/{scenario}/{k}",
+                seed=run_seed(master_seed, scenario, k),
                 scenario=scenario, seed_index=k,
             ))
     return specs

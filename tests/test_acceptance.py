@@ -118,7 +118,7 @@ def test_c01_equation_unit_suite():
 
 def test_c02_cubic_power_identity():
     t0 = time.perf_counter()
-    ev = checks.check_cubic_power(1000)
+    ev = checks.check_cubic_power()
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     note(2, f"{ev['pairs']} random (node, rho) pairs, max rel err {ev['worst']:.2e}, "
@@ -146,7 +146,7 @@ def test_c04_backup_separation_500_fault_runs():
 
 def test_c05_oracle_bounding_200_instances():
     t0 = time.perf_counter()
-    ev = checks.check_oracle_bounding(200)
+    ev = checks.check_oracle_bounding()
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     assert ev["bounded"] > 0
@@ -269,7 +269,7 @@ def test_c10_sweep_is_byte_deterministic(sweep, tmp_path):
 
 def test_c11_fault_model_statistics():
     t0 = time.perf_counter()
-    ev = checks.check_fault_statistics(100_000)
+    ev = checks.check_fault_statistics()
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     note(11, f"empirical fault frequency within {ev['worst']:.4f} of 1-e^(-lt) at "

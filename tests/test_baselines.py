@@ -92,6 +92,15 @@ def test_rr_skips_incapable_nodes():
     assert sched.assignment[1] == 2
 
 
+@pytest.mark.parametrize("build", [fcfs_schedule, sjf_schedule, rr_schedule])
+def test_list_baselines_fail_a_task_no_node_can_host(build):
+    tasks = [make_task(id=1, deadline=100.0), make_task(id=2, npe=4, deadline=100.0)]
+    nodes = [make_node(id=1, npe_slots=2), make_node(id=2, npe_slots=1)]
+    sched = build(tasks, nodes)
+    assert sched.failed == [2] and sched.cb == 1
+    assert [e.task_id for e in sched.entries] == [1]
+
+
 def test_baselines_emit_one_full_speed_primary_per_task():
     rng = random.Random(2)
     for _ in range(10):

@@ -10,7 +10,7 @@ from fogsched import checks
 from fogsched.baselines import PsoConfig
 from fogsched.cli import (CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO, EXIT_USAGE,
                           ExperimentConfig, load_config, main, run_experiment)
-from fogsched.model import (DvfsConfig, FaultModel, instance_to_dict,
+from fogsched.model import (DvfsConfig, FaultModel, dumps_instance,
                             save_instance, validate_instance)
 from fogsched.workload import WorkloadSpec
 
@@ -135,7 +135,7 @@ def test_instance_record_with_bad_keys_is_io_error(tmp_path, capsys):
     for section, key, add in (("fault_model", "dvolt", True), ("dvfs", "lvls", True),
                               ("tasks", "dedline", True), ("nodes", "mps", True),
                               ("fault_model", "lambda0", False)):
-        doc = instance_to_dict(inst)
+        doc = json.loads(dumps_instance(inst))
         record = doc[section][0] if isinstance(doc[section], list) else doc[section]
         if add:
             record[key] = 1.0
@@ -212,7 +212,7 @@ def test_run_with_broken_dvfs_is_invariant_error_before_output(tmp_path, capsys)
 def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, key, value):
     inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
                              FaultModel(0.0, 3.0, 0.5))
-    doc = instance_to_dict(inst)
+    doc = json.loads(dumps_instance(inst))
     if key is None:
         doc[section] = value
     else:
@@ -287,6 +287,21 @@ def test_readme_example_config_parses(tmp_path):
     ({"pso": {"swarm_size": 3.5}}, "swarm_size"),
     ({"fault_model": {"lambda0": "1e-6", "d": 3.0, "f_min": 0.5}}, "lambda0"),
     ({"instance_path": "f.json"}, "instance_path"),  # the key is "instance"
+    # Workload ranges that can only generate invalid records.
+    ({"workload": {"mips_range": [0, 0]}}, "mips_range"),
+    ({"workload": {"length_range": [-5, 0]}}, "length_range"),
+    ({"workload": {"npe_range": [0, 3]}}, "npe_range"),
+    ({"workload": {"npe_range": [1, 9]}}, "npe_range"),
+    ({"workload": {"deadline_base": -100}}, "deadline_base"),
+    ({"workload": {"slack_factor_range": [0, 0]}}, "slack_factor_range"),
+    ({"workload": {"submit_mode": "uniform", "submit_horizon": -1}}, "submit_horizon"),
+    ({"workload": {"submit_horizon": 3.0}}, "submit_horizon"),
+    # Keys every run overwrites, a repeated algorithm and an empty emit.
+    ({"workload": {"seed": 1}}, "workload.seed"),
+    ({"workload": {"scenario": "x"}}, "workload.scenario"),
+    ({"workload": {"seed_index": 2}}, "workload.seed_index"),
+    ({"algorithms": ["gap", "gap"]}, "algorithms"),
+    ({"emit": []}, "emit"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"
@@ -296,6 +311,21 @@ def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     assert code == EXIT_USAGE
     assert err.startswith("fogsched:") and needle in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--bogus"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--bogus" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_io_error(tmp_path, capsys):
+    code = main(["run", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("fogsched: cannot read config:")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,13 +1,13 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
 from conftest import make_node, make_task
-from fogsched.model import (DvfsConfig, FaultModel,
-                            InvalidInstanceError, Role, check_instance,
-                            dumps_instance, instance_from_dict,
-                            instance_to_dict, load_instance, save_instance,
+from fogsched.model import (DvfsConfig, FaultModel, InvalidInstanceError,
+                            Phase, check_instance, dumps_instance,
+                            instance_from_dict, load_instance, save_instance,
                             validate_instance)
 
 
@@ -55,7 +55,7 @@ SINGLE_BREAKS = [
     lambda t, n, d, f: (t[:1] + [dataclasses.replace(t[1], npe=9)], n, d, f),
     lambda t, n, d, f: (t[:1] + [dataclasses.replace(t[1], npe=0)], n, d, f),
     lambda t, n, d, f: (t[:1] + [dataclasses.replace(t[1], backup_of=1)], n, d, f),
-    lambda t, n, d, f: (t[:1] + [dataclasses.replace(t[1], role=Role.BACKUP)], n, d, f),
+    lambda t, n, d, f: (t[:1] + [dataclasses.replace(t[1], role=Phase.BACKUP)], n, d, f),
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], mips=0.0)], d, f),
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], v_max=0.0)], d, f),
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], f_max=-1.0)], d, f),
@@ -68,6 +68,10 @@ SINGLE_BREAKS = [
     lambda t, n, d, f: (t, n, d, FaultModel(1e-6, 0.0, 0.5)),
     lambda t, n, d, f: (t, n, d, FaultModel(1e-6, 3.0, 1.5)),
     lambda t, n, d, f: (t, n, d, FaultModel(1e-6, 3.0, 0.5, d_volt=-1.0)),
+    lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], load_cap=-1e-9)], d, f),
+    lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], id=1)], d, f),
+    lambda t, n, d, f: (t, n, DvfsConfig(()), f),
+    lambda t, n, d, f: (t, n, DvfsConfig((0.6, 1.0, 1.2)), f),
 ]
 
 
@@ -103,7 +107,7 @@ def test_serialization_round_trips_byte_identical(tmp_path):
     tasks, nodes, dvfs, fm = small_instance()
     inst = validate_instance(tasks, nodes, dvfs, fm)
     first = dumps_instance(inst)
-    again = dumps_instance(instance_from_dict(instance_to_dict(inst)))
+    again = dumps_instance(instance_from_dict(json.loads(first)))
     assert first == again
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))

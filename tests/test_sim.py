@@ -86,6 +86,15 @@ def test_cb_counts_a_task_missing_from_the_schedule():
     assert (rep.cb, rep.reliability_estimate) == (1, 0.5)
 
 
+def test_planned_start_on_a_node_with_too_few_slots_fails():
+    tasks = [make_task(id=1, npe=2, deadline=5.0)]
+    inst = simple_instance(tasks, [make_node(id=1, npe_slots=1)])
+    sched = Schedule(entries=[ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0)])
+    trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(4))
+    assert trace.status[1] is TaskStatus.FAILED
+    assert not trace.segments and rep.cb == 1
+
+
 def test_three_serialized_tasks_wait_0_1_2():
     tasks = [make_task(id=i, length=1000, deadline=100.0) for i in (1, 2, 3)]
     node = make_node()
