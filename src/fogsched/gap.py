@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .model import (DvfsConfig, FaultModel, FogNode, Phase, Schedule,
                     ScheduleEntry, Task)
-from .power import active_power, schedule_energy
+from .power import active_power
 
 
 @dataclass
@@ -124,31 +124,31 @@ def payoff(task: Task, node: FogNode, rho: float, state: GapState) -> float:
     return -math.inf if best is None else best[0]
 
 
-def _place(state: GapState, task: Task, best, rho: float,
-           phase: Phase) -> ScheduleEntry:
-    _, _, node_id, start, ext = best
-    entry = ScheduleEntry.make(task.id, node_id, start, ext, rho, phase)
-    state.occupy(node_id, task.npe, entry.completion)
-    return entry
-
-
 def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
-                  state: GapState) -> Schedule:
-    """Map EDF-ordered tasks to their best-payoff nodes.
+                  state: GapState):
+    """Map EDF-ordered tasks to their best-payoff nodes at rho, reserving
+    each placement's slots in `state`.
 
-    Tasks with no feasible node join backup_list (deferred) and raise cp;
-    assigned tasks get their slots reserved. The node choice ties break on
-    lower energy, then lower node id.
+    Returns (placed, deferred, energy): one (task id, node id, start, exec
+    time) tuple per assigned task in processing order, the ids of tasks with
+    no feasible node, and the placements' total energy. The node choice ties
+    break on lower energy, then on the order of `nodes` (gap_schedule passes
+    them by ascending id).
     """
-    sched = Schedule(selected_rho=rho)
-    table = _node_table(sorted(nodes, key=lambda n: n.id), rho)
+    table = _node_table(nodes, rho)
+    placed = []
+    deferred = []
+    energies = []
     for task in tasks:
         best = _best_node(task, table, state, task.submit_time)
         if best is None:
-            sched.backup_list.append(task.id)
-        else:
-            sched.entries.append(_place(state, task, best, rho, Phase.PRIMARY))
-    return sched
+            deferred.append(task.id)
+            continue
+        _, energy, node_id, start, ext = best
+        state.occupy(node_id, task.npe, start + ext)
+        placed.append((task.id, node_id, start, ext))
+        energies.append(energy)
+    return placed, deferred, math.fsum(energies)
 
 
 def backup_table(nodes: list[FogNode], rho: float):
@@ -167,7 +167,12 @@ def map_backups(task: Task, table, rho: float, state: GapState,
     entry with its slots reserved in `state`, or None when no node fits.
     """
     best = _best_node(task, table, state, now, primary_node, task.deadline - now)
-    return None if best is None else _place(state, task, best, rho, Phase.BACKUP)
+    if best is None:
+        return None
+    _, _, node_id, start, ext = best
+    entry = ScheduleEntry.make(task.id, node_id, start, ext, rho, Phase.BACKUP)
+    state.occupy(node_id, task.npe, entry.completion)
+    return entry
 
 
 def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
@@ -175,25 +180,30 @@ def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
     """Build one candidate per DVFS level and keep the best.
 
     Candidates are compared by (deferred count, total energy); full ties
-    keep the lowest level. Deferred tasks fail, listed by ascending
+    keep the lowest level. Only the winner's placements become
+    ScheduleEntry records. Deferred tasks fail, listed by ascending
     submit-to-deadline window, then id. fault_model is accepted for
     interface symmetry with the simulator but plays no role in the static
     decision.
     """
     ordered = edf_sort(tasks)
-    window = {t.id: (t.deadline - t.submit_time, t.id) for t in tasks}
-    nodes_by_id = {n.id: n for n in nodes}
-    best_sched: Schedule | None = None
-    best_key = (math.inf, math.inf)
+    by_id = sorted(nodes, key=lambda n: n.id)
+    best = None
     for rho in dvfs.levels:
-        sched = map_primaries(ordered, nodes, rho, GapState.fresh(nodes))
-        sched.failed = sorted(sched.backup_list, key=window.__getitem__)
-        key = (sched.cp, schedule_energy(nodes_by_id, sched.entries))
-        if key < best_key:
-            best_key = key
-            best_sched = sched
-    assert best_sched is not None, "DvfsConfig guarantees at least one level"
-    return best_sched
+        placed, deferred, energy = map_primaries(ordered, by_id, rho,
+                                                 GapState.fresh(nodes))
+        key = (len(deferred), energy)
+        if best is None or key < best[0]:
+            best = (key, rho, placed, deferred)
+    assert best is not None, "DvfsConfig guarantees at least one level"
+    _, rho, placed, deferred = best
+    window = {t.id: (t.deadline - t.submit_time, t.id) for t in tasks}
+    return Schedule(
+        entries=[ScheduleEntry.make(tid, node_id, start, ext, rho)
+                 for tid, node_id, start, ext in placed],
+        backup_list=deferred,
+        failed=sorted(deferred, key=window.__getitem__),
+        selected_rho=rho)
 
 
 def wgap_schedule(tasks: list[Task], nodes: list[FogNode],

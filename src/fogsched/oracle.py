@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .model import DvfsConfig, FogNode, Phase, ScheduleEntry, Task
+from .gap import edf_sort
+from .model import DvfsConfig, FogNode, Task
 from .power import active_power
 
 ENUMERATION_LIMIT = 10_000_000
@@ -35,31 +36,46 @@ class OracleResult:
         return self.feasible_count > 0
 
 
-def _place_candidate(tasks: list[Task], nodes: list[FogNode],
-                     assignment: dict[int, int], rho: float
-                     ) -> tuple[list[ScheduleEntry], bool]:
-    """Place one candidate; returns (entries, deadline_feasible)."""
-    lanes = {n.id: [0.0] * n.npe_slots for n in nodes}
-    slots = {n.id: n.npe_slots for n in nodes}
-    mips = {n.id: n.mips for n in nodes}
-    entries = []
-    for task in sorted(tasks, key=lambda t: (t.deadline, t.submit_time, t.id)):
-        node_id = assignment[task.id]
-        if task.npe > slots[node_id]:
-            return entries, False
-        lane = lanes[node_id]
-        avail = lane[task.npe - 1]
-        start = avail if avail > task.submit_time else task.submit_time
-        ext = task.length / (mips[node_id] * rho)
+def _level_rows(tasks: list[Task], nodes: list[FogNode], levels):
+    """The search's per-level constants, one list of rows per level.
+
+    A row holds one task in EDF order as (k, task id, npe, submit time,
+    deadline, exec times): k is the task's position in id order, which
+    indexes a candidate, and the exec times run over `nodes` at the level.
+    """
+    position = {t.id: k for k, t in enumerate(sorted(tasks, key=lambda t: t.id))}
+    edf = [(position[t.id], t) for t in edf_sort(tasks)]
+    return [[(k, t.id, t.npe, t.submit_time, t.deadline,
+              [t.length / (nd.mips * rho) for nd in nodes]) for k, t in edf]
+            for rho in levels]
+
+
+def _place_candidate(rows, slots: list[int], combo):
+    """Place one candidate in EDF order under the shared slot model.
+
+    combo[k] is the index, in `slots`, of the node the k-th task in id order
+    runs on. Returns one (task id, node index, start, exec time) tuple per
+    task in EDF order, or None when a task lacks slots or misses its
+    deadline.
+    """
+    lanes = [[0.0] * n for n in slots]
+    placed = []
+    for k, task_id, npe, submit, deadline, exts in rows:
+        j = combo[k]
+        if npe > slots[j]:
+            return None
+        lane = lanes[j]
+        avail = lane[npe - 1]
+        start = avail if avail > submit else submit
+        ext = exts[j]
         completion = start + ext
-        if completion > task.deadline:
-            return entries, False
-        entries.append(ScheduleEntry(task.id, node_id, start, ext, completion,
-                                     rho, Phase.PRIMARY))
-        del lane[:task.npe]
-        lane.extend([completion] * task.npe)
+        if completion > deadline:
+            return None
+        placed.append((task_id, j, start, ext))
+        del lane[:npe]
+        lane.extend([completion] * npe)
         lane.sort()
-    return entries, True
+    return placed
 
 
 def exhaustive(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig) -> OracleResult:
@@ -74,19 +90,20 @@ def exhaustive(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig) -> Ora
         raise ValueError(
             f"search space {space} exceeds the {ENUMERATION_LIMIT} candidate guard")
     result = OracleResult(enumerated=space)
-    ordered = sorted(tasks, key=lambda t: t.id)
-    node_ids = [nd.id for nd in sorted(nodes, key=lambda nd: nd.id)]
-    for rho in dvfs.levels:
-        powers = {nd.id: active_power(nd, rho) for nd in nodes}
-        for combo in product(node_ids, repeat=n):
-            assignment = {t.id: node_id for t, node_id in zip(ordered, combo)}
-            entries, ok = _place_candidate(tasks, nodes, assignment, rho)
-            if not ok:
+    task_ids = sorted(t.id for t in tasks)
+    ordered = sorted(nodes, key=lambda nd: nd.id)
+    slots = [nd.npe_slots for nd in ordered]
+    for rho, rows in zip(dvfs.levels, _level_rows(tasks, ordered, dvfs.levels)):
+        powers = [active_power(nd, rho) for nd in ordered]
+        for combo in product(range(m), repeat=n):
+            placed = _place_candidate(rows, slots, combo)
+            if placed is None:
                 continue
             result.feasible_count += 1
-            energy = math.fsum(powers[e.node_id] * e.exec_time for e in entries)
+            energy = math.fsum([powers[j] * ext for _, j, _, ext in placed])
             if energy < result.best_energy:
                 result.best_energy = energy
-                result.best_assignment = assignment
+                result.best_assignment = {tid: ordered[j].id
+                                          for tid, j in zip(task_ids, combo)}
                 result.best_rho = rho
     return result

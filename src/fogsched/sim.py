@@ -16,6 +16,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from typing import NamedTuple
 
 from . import gap
 from .model import (FaultEvent, FaultModel, Instance, MetricsReport, Phase,
@@ -40,8 +42,10 @@ _RANK = {EventKind.COMPLETION: 0, EventKind.FAULT: 1, EventKind.ARRIVAL: 2,
          EventKind.START: 3, EventKind.BACKUP_DISPATCH: 4}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One logged event; node_id is None for an arrival and for a backup
+    dispatch that found no node."""
+
     time: float
     kind: EventKind
     task_id: int
@@ -109,18 +113,22 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             trace.status[t.id] = TaskStatus.FAILED  # never scheduled
 
     faulted: set[int] = set()
-    heap: list[tuple[float, int, int, int, tuple]] = []
-    seq = 0
+    # Every heap key carries a unique seq, so heapifying the initial events
+    # pops them in the same order as pushing them one by one.
+    initial = chain(
+        ((t.submit_time, EventKind.ARRIVAL, t.id, ())
+         for t in sorted(instance.tasks, key=lambda x: x.id)),
+        ((e.start, EventKind.START, e.task_id, (e, False))
+         for e in sorted(schedule.entries, key=lambda x: (x.start, x.task_id))))
+    heap = [(time, _RANK[kind], task_id, seq, (kind, payload))
+            for seq, (time, kind, task_id, payload) in enumerate(initial)]
+    heapq.heapify(heap)
+    seq = len(heap)
 
     def push(time: float, kind: EventKind, task_id: int, payload: tuple = ()) -> None:
         nonlocal seq
         heapq.heappush(heap, (time, _RANK[kind], task_id, seq, (kind, payload)))
         seq += 1
-
-    for t in sorted(instance.tasks, key=lambda x: x.id):
-        push(t.submit_time, EventKind.ARRIVAL, t.id)
-    for e in sorted(schedule.entries, key=lambda x: (x.start, x.task_id)):
-        push(e.start, EventKind.START, e.task_id, (e, False))
 
     def begin_execution(now: float, entry: ScheduleEntry) -> None:
         """Common path once a task holds its slots from `now`: draw the
@@ -243,14 +251,20 @@ def check_capacity(trace: RunTrace, instance: Instance) -> list[str]:
 
     A segment holds its node's slots over [start, completion). The load is
     checked at every segment start by one sweep over the node's start and
-    end points. Returns a list of violation descriptions (empty when clean).
+    end points. A segment of a task or on a node the instance lacks is a
+    violation too. Returns a list of violation descriptions (empty when
+    clean).
     """
     tasks_by_id = {t.id: t for t in instance.tasks}
     segments: dict[int, list[ScheduleEntry]] = {n.id: [] for n in instance.nodes}
-    for s in trace.segments:
-        if s.node_id in segments:
-            segments[s.node_id].append(s)
     problems = []
+    for s in trace.segments:
+        if s.task_id not in tasks_by_id:
+            problems.append(f"segment at t={s.start} of unknown task {s.task_id}")
+        elif s.node_id not in segments:
+            problems.append(f"task {s.task_id} at t={s.start} on unknown node {s.node_id}")
+        else:
+            segments[s.node_id].append(s)
     for node in instance.nodes:
         starts = set()
         delta: dict[float, int] = {}

@@ -12,7 +12,8 @@ from fogsched import sim
 from fogsched.gap import (GapState, backup_table, edf_sort, exec_time,
                           gap_schedule, map_backups, map_primaries, payoff,
                           wgap_schedule)
-from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
+from fogsched.model import (DvfsConfig, FaultModel, Phase, ScheduleEntry,
+                            validate_instance)
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
@@ -57,6 +58,10 @@ def two_task_instance():
     return [t1, t2], [n1, n2]
 
 
+def assignment(placed):
+    return {tid: node_id for tid, node_id, _, _ in placed}
+
+
 def test_payoff_infeasible_past_deadline():
     task = make_task(length=2000, deadline=1.0)
     node = make_node(mips=1000)
@@ -92,13 +97,13 @@ def test_payoff_respects_npe_capacity():
 
 def test_map_primaries_two_task_example():
     tasks, nodes = two_task_instance()
-    state = GapState.fresh(nodes)
-    sched = map_primaries(edf_sort(tasks), nodes, 1.0, state)
-    assert sched.assignment == {2: 2, 1: 1}
-    by_task = {e.task_id: e for e in sched.entries}
-    assert by_task[2].completion == pytest.approx(0.75, rel=REL)
-    assert by_task[1].completion == pytest.approx(1.0, rel=REL)
-    assert sched.cp == 0 and not sched.backup_list
+    placed, deferred, _ = map_primaries(edf_sort(tasks), nodes, 1.0,
+                                        GapState.fresh(nodes))
+    assert assignment(placed) == {2: 2, 1: 1}
+    completion = {tid: start + ext for tid, _, start, ext in placed}
+    assert completion[2] == pytest.approx(0.75, rel=REL)
+    assert completion[1] == pytest.approx(1.0, rel=REL)
+    assert not deferred
 
     # Cross-check against exhaustive enumeration: every fully feasible
     # assignment puts t2 on node 2.
@@ -110,26 +115,23 @@ def test_map_primaries_two_task_example():
 def test_map_primaries_single_task_trivial():
     task = make_task(length=500, deadline=10.0)
     node = make_node()
-    state = GapState.fresh([node])
-    sched = map_primaries([task], [node], 1.0, state)
-    assert sched.assignment == {1: 1}
+    placed, _, _ = map_primaries([task], [node], 1.0, GapState.fresh([node]))
+    assert assignment(placed) == {1: 1}
 
 
 def test_map_primaries_impossible_task_joins_backup_queue():
     task = make_task(length=5000, deadline=1.0)  # 5 s on the best node
     nodes = [make_node(id=1), make_node(id=2)]
-    state = GapState.fresh(nodes)
-    sched = map_primaries([task], nodes, 1.0, state)
-    assert sched.cp == 1
-    assert sched.backup_list == [1]
-    assert not sched.entries
+    placed, deferred, energy = map_primaries([task], nodes, 1.0,
+                                             GapState.fresh(nodes))
+    assert deferred == [1]
+    assert not placed and energy == 0.0
 
 
 def test_map_primaries_tie_breaks_lower_node_id():
     task = make_task(length=500, deadline=10.0)
     nodes = [make_node(id=2), make_node(id=1)]
-    state = GapState.fresh(nodes)
-    sched = map_primaries([task], nodes, 1.0, state)
+    sched = gap_schedule([task], nodes, DvfsConfig((1.0,)))
     assert sched.assignment[1] == 1
 
 
@@ -185,9 +187,9 @@ def test_deferred_task_has_no_static_backup(n_tasks, n_vms, slack, horizon, seed
     by_id = {t.id: t for t in inst.tasks}
     for rho in inst.dvfs.levels:
         state = GapState.fresh(inst.nodes)
-        sched = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
+        _, deferred, _ = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
         table = backup_table(inst.nodes, rho)
-        for tid in sched.backup_list:
+        for tid in deferred:
             task = by_id[tid]
             assert map_backups(task, table, rho, state, None, task.submit_time) is None
 
@@ -270,10 +272,9 @@ def test_phase_one_processes_in_deadline_order():
     tasks = [make_task(id=i, deadline=rng.uniform(5, 50), length=100)
              for i in range(30)]
     nodes = [make_node(id=1, npe_slots=1)]
-    state = GapState.fresh(nodes)
-    sched = map_primaries(edf_sort(tasks), nodes, 1.0, state)
+    placed, _, _ = map_primaries(edf_sort(tasks), nodes, 1.0, GapState.fresh(nodes))
     # Single slot: start order mirrors processing order.
-    starts = {e.task_id: e.start for e in sched.entries}
+    starts = {tid: start for tid, _, start, _ in placed}
     processed = sorted(starts, key=lambda tid: starts[tid])
     deadlines = [next(t.deadline for t in tasks if t.id == tid) for tid in processed]
     assert deadlines == sorted(deadlines)
@@ -288,9 +289,8 @@ def test_idle_uniform_power_choice_minimizes_exec_time():
                  for j in range(4)]
         task = make_task(length=rng.randint(1000, 2000), deadline=1e9)
         for rho in (0.6, 0.8, 1.0):
-            state = GapState.fresh(nodes)
-            sched = map_primaries([task], nodes, rho, state)
-            chosen = sched.assignment[task.id]
+            placed, _, _ = map_primaries([task], nodes, rho, GapState.fresh(nodes))
+            chosen = assignment(placed)[task.id]
             best_ext = min(exec_time(task, n, rho) for n in nodes)
             chosen_node = next(n for n in nodes if n.id == chosen)
             assert exec_time(task, chosen_node, rho) == best_ext
@@ -317,22 +317,25 @@ def test_scheduling_is_deterministic_under_permutation():
     sched_a = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
     shuffled = inst.tasks[:]
     rng.shuffle(shuffled)
-    sched_b = gap_schedule(shuffled, inst.nodes, inst.dvfs)
+    nodes = inst.nodes[:]
+    rng.shuffle(nodes)
+    sched_b = gap_schedule(shuffled, nodes, inst.dvfs)
     assert sched_a == sched_b
 
 
 def test_map_primaries_agrees_with_scalar_payoff():
     """Replaying the greedy phase with the scalar payoff reference (argmax
     value, ties by energy then node id) must reproduce the mapper's exact
-    entries."""
+    placements, and its energy must be what power.schedule_energy prices
+    for their entries."""
     from fogsched.power import active_power
 
     rng = random.Random(53)
     for _ in range(20):
         inst = _random_instance(rng, max_tasks=12, max_vms=5)
         for rho in (0.6, 1.0):
-            state = GapState.fresh(inst.nodes)
-            fast = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
+            fast, _, total = map_primaries(edf_sort(inst.tasks), inst.nodes, rho,
+                                           GapState.fresh(inst.nodes))
 
             ref_state = GapState.fresh(inst.nodes)
             entries = []
@@ -354,8 +357,11 @@ def test_map_primaries_agrees_with_scalar_payoff():
                 ext = exec_time(task, node, rho)
                 entries.append((task.id, node.id, start, ext))
                 ref_state.occupy(node.id, task.npe, start + ext)
-            assert [(e.task_id, e.node_id, e.start, e.exec_time)
-                    for e in fast.entries] == entries
+            assert fast == entries
+            assert total == schedule_energy(
+                {n.id: n for n in inst.nodes},
+                [ScheduleEntry.make(tid, node_id, start, ext, rho)
+                 for tid, node_id, start, ext in fast])
 
 
 def test_node_choice_tie_breaks():
@@ -363,20 +369,20 @@ def test_node_choice_tie_breaks():
     cheap = make_node(id=1, mips=1000, load_cap=1e-9)
     fast = make_node(id=2, mips=2000, load_cap=8e-9)
     # The sooner completion of the faster node wins on slack.
-    state = GapState.fresh([cheap, fast])
-    assert map_primaries([task], [cheap, fast], 1.0, state).assignment[1] == 2
+    sched = gap_schedule([task], [cheap, fast], DvfsConfig((1.0,)))
+    assert sched.assignment[1] == 2
     # Equal MIPS give equal slack, and at full speed the energy term is 1 on
     # every node (it is normalized per node), so payoffs tie; the
     # absolute-energy tie-break wins over node order and picks the cheaper
     # node with the higher id.
     pricey = make_node(id=1, load_cap=8e-9)
     frugal = make_node(id=2, load_cap=1e-9)
-    state = GapState.fresh([pricey, frugal])
-    assert map_primaries([task], [pricey, frugal], 1.0, state).assignment[1] == 2
+    sched = gap_schedule([task], [pricey, frugal], DvfsConfig((1.0,)))
+    assert sched.assignment[1] == 2
     # Fully identical nodes fall through to the lower id.
     twins = [make_node(id=1), make_node(id=2)]
-    state = GapState.fresh(twins)
-    assert map_primaries([task], twins, 1.0, state).assignment[1] == 1
+    sched = gap_schedule([task], twins, DvfsConfig((1.0,)))
+    assert sched.assignment[1] == 1
 
 
 def _golden_instance(tasks, nodes, fm, dvfs=DvfsConfig((0.6, 0.7, 0.8, 0.9, 1.0))):

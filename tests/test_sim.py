@@ -1,3 +1,4 @@
+import hashlib
 import random
 import statistics
 
@@ -75,6 +76,26 @@ def test_replay_is_byte_identical(tmp_path):
         write_trace(trace, str(p))
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+# Fixed sha256 prefixes of the bytes write_trace writes for one faulted
+# instance, per detection mode. A change to the event type or to the event
+# queue must reproduce them.
+TRACE_GOLDEN = {"immediate": "5431661416c99b6e", "at_completion": "6474685f875f9a1b"}
+
+
+@pytest.mark.parametrize("detection", sorted(TRACE_GOLDEN))
+def test_trace_file_matches_golden_digest(tmp_path, detection):
+    storm = FaultModel(lambda0=0.5, d=3.0, f_min=0.5)
+    inst = generate(WorkloadSpec(n_tasks=40, n_vms=4, seed=21, submit_mode="uniform",
+                                 submit_horizon=2.0), fault_model=storm)
+    sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
+    trace, _ = run(sched, inst, storm, FaultSampler("trace-golden"), detection)
+    path = tmp_path / "trace.tsv"
+    write_trace(trace, str(path))
+    data = path.read_bytes()
+    assert b"\tfault\t" in data and b"\tbackup_dispatch\t" in data
+    assert hashlib.sha256(data).hexdigest()[:16] == TRACE_GOLDEN[detection]
 
 
 def test_cb_counts_a_task_missing_from_the_schedule():
@@ -280,10 +301,17 @@ def quadratic_check_capacity(trace, instance):
     """The per-node quadratic scan that check_capacity replaced, kept as the
     reference its sweep line must agree with."""
     tasks_by_id = {t.id: t for t in instance.tasks}
+    node_ids = {n.id for n in instance.nodes}
     problems = []
+    for s in trace.segments:
+        if s.task_id not in tasks_by_id:
+            problems.append(f"segment at t={s.start} of unknown task {s.task_id}")
+        elif s.node_id not in node_ids:
+            problems.append(f"task {s.task_id} at t={s.start} on unknown node {s.node_id}")
     for node in instance.nodes:
         spans = [(s.start, s.completion, tasks_by_id[s.task_id].npe)
-                 for s in trace.segments if s.node_id == node.id]
+                 for s in trace.segments
+                 if s.node_id == node.id and s.task_id in tasks_by_id]
         points = sorted({s for s, _, _ in spans})
         for p in points:
             load = sum(npe for s, c, npe in spans if s <= p < c)
@@ -308,16 +336,31 @@ def test_check_capacity_touching_and_overlapping_intervals():
     assert check_capacity(*overlapping) == ["node 1 at t=0.5: npe load 2 > 1"]
 
 
+def test_check_capacity_reports_segments_on_an_unknown_node():
+    nodes = [make_node(id=1, npe_slots=1)]
+    tasks = [make_task(id=i, npe=2) for i in (1, 2, 3)]
+    foreign = _segments_trace(nodes, tasks, [(i, 99, 0.0, 1.0) for i in (1, 2, 3)])
+    assert check_capacity(*foreign) == [
+        f"task {i} at t=0.0 on unknown node 99" for i in (1, 2, 3)]
+
+
+def test_check_capacity_reports_segments_of_an_unknown_task():
+    nodes = [make_node(id=1, npe_slots=2)]
+    stray = _segments_trace(nodes, [make_task(id=1)], [(1, 1, 0.0, 1.0), (7, 1, 0.5, 1.0)])
+    assert check_capacity(*stray) == ["segment at t=0.5 of unknown task 7"]
+
+
 @st.composite
 def segment_traces(draw):
     """Segments on quarter-second grids, so starts, ends and zero-length
-    runs coincide often; some segments sit on a node the instance lacks."""
+    runs coincide often; some segments belong to a task or sit on a node
+    the instance lacks."""
     nodes = [make_node(id=j + 1, npe_slots=draw(st.integers(1, 4)))
              for j in range(draw(st.integers(1, 3)))]
     tasks = [make_task(id=i + 1, npe=draw(st.integers(1, 4)))
              for i in range(draw(st.integers(1, 6)))]
     spans = draw(st.lists(st.tuples(
-        st.integers(1, len(tasks)), st.integers(1, len(nodes) + 1),
+        st.integers(1, len(tasks) + 1), st.integers(1, len(nodes) + 1),
         st.integers(0, 16).map(lambda q: q / 4), st.integers(0, 8).map(lambda q: q / 4)),
         max_size=25))
     return _segments_trace(nodes, tasks, spans)
