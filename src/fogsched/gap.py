@@ -88,11 +88,18 @@ def _best_node(task: Task, table, state: GapState, ready: float,
     """The best-payoff placement of `task` over a node table, or None.
 
     The candidate start is the later of `ready` and the node's k-th free
-    slot. A node is skipped when it is `exclude`, lacks the slots, would
-    need at least `budget` seconds, or would complete past the deadline.
-    The value is normalized slack minus the energy of this run normalized
-    by the same run at full speed; ties break on lower energy, then on
-    table order. Returns (value, energy, node_id, start, ext).
+    slot. A node is skipped when it is `exclude`, lacks the slots, or would
+    complete past the deadline. The value is normalized slack minus the
+    energy of this run normalized by the same run at full speed; ties break
+    on lower energy, then on table order. Returns (value, energy, node_id,
+    start, ext).
+
+    A finite `budget` needs a table in descending MIPS order (backup_table):
+    the scan stops at the first node whose run would take at least `budget`
+    seconds. That is exact, because fl(mips * rho) and fl(length / x) are
+    monotone, so ext never falls along the table and no later node fits.
+    With the default infinite budget only a run time that overflows to inf
+    fails that test; such a node is skipped and the scan goes on.
     """
     length = task.length
     deadline = task.deadline
@@ -104,7 +111,9 @@ def _best_node(task: Task, table, state: GapState, ready: float,
             continue
         ext = length / mips_rho
         if ext >= budget:  # strict fit inside the remaining budget
-            continue
+            if budget == math.inf:  # ext overflowed; the table may be unordered
+                continue
+            break
         lane_t = node_free[node_id][npe - 1]
         start = lane_t if lane_t > ready else ready
         ct = start + ext

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import make_node, make_task
 from fogsched import sim
-from fogsched.gap import (GapState, backup_table, edf_sort, exec_time,
-                          gap_schedule, map_backups, map_primaries, payoff,
-                          wgap_schedule)
+from fogsched.gap import (GapState, _best_node, backup_table, edf_sort,
+                          exec_time, gap_schedule, map_backups, map_primaries,
+                          payoff, wgap_schedule)
 from fogsched.model import (DvfsConfig, FaultModel, Phase, ScheduleEntry,
                             validate_instance)
 from fogsched.oracle import exhaustive
@@ -170,6 +170,40 @@ def test_map_backups_prefers_greater_computing_power():
     state = GapState.fresh([slow, fast])
     table = backup_table([slow, fast], 1.0)
     assert map_backups(task, table, 1.0, state, None, 0.0).node_id == fast.id
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([500.0, 1000.0, 1500.0, 2000.0]),
+                               st.integers(1, 3), st.integers(0, 8)),
+                     min_size=1, max_size=6),
+       npe=st.integers(1, 3), length=st.integers(500, 4000),
+       now=st.integers(0, 8).map(lambda q: q / 4), rho=st.sampled_from([0.6, 1.0]),
+       exclude=st.one_of(st.none(), st.integers(1, 6)))
+def test_backup_scan_stops_where_the_full_scan_finds_nothing_more(
+        rows, npe, length, now, rho, exclude):
+    """map_backups' kernel ends its scan at the first node too slow for the
+    budget; over a descending-MIPS table that equals scanning only the
+    nodes that fit."""
+    nodes = [make_node(id=i + 1, mips=mips, npe_slots=slots)
+             for i, (mips, slots, _) in enumerate(rows)]
+    state = GapState.fresh(nodes)
+    for node, (_, slots, busy) in zip(nodes, rows):
+        state.occupy(node.id, slots, busy / 4)
+    task = make_task(length=length, deadline=4.0, npe=npe)
+    budget = task.deadline - now
+    table = backup_table(nodes, rho)
+    fits = [row for row in table if length / row[2] < budget]
+    assert (_best_node(task, table, state, now, exclude, budget)
+            == _best_node(task, fits, state, now, exclude))
+
+
+def test_overflowed_run_time_does_not_end_the_primary_scan():
+    # Node 1's run time overflows to inf; with no budget the scan must go on
+    # to node 2, although the id-ordered table is not sorted by MIPS.
+    task = make_task(id=1, length=1000, deadline=5.0)
+    nodes = [make_node(id=1, mips=1e-310), make_node(id=2)]
+    placed, deferred, _ = map_primaries([task], nodes, 1.0, GapState.fresh(nodes))
+    assert (placed, deferred) == ([(1, 2, 0.0, 1.0)], [])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,20 +1,22 @@
+import dataclasses
 import hashlib
 import random
 import statistics
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_node, make_task
-from fogsched.baselines import fcfs_schedule
+from fogsched.baselines import PsoConfig, fcfs_schedule, pso_schedule, rr_schedule
 from fogsched.gap import gap_schedule, wgap_schedule
 from fogsched.model import (DvfsConfig, FaultModel, Instance, Phase, Schedule,
                             ScheduleEntry)
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
-from fogsched.sim import (RunTrace, TaskStatus, check_capacity, report, run,
-                          write_trace)
+from fogsched.sim import (DETECTION_MODES, EventKind, RunTrace, TaskStatus,
+                          check_capacity, report, run, write_trace)
 from fogsched.workload import WorkloadSpec, generate
 
 REL = 1e-9
@@ -98,6 +100,100 @@ def test_trace_file_matches_golden_digest(tmp_path, detection):
     assert hashlib.sha256(data).hexdigest()[:16] == TRACE_GOLDEN[detection]
 
 
+def _storm_instance(lambda0, n_tasks, seed):
+    """A generated multi-slot instance whose runtime backups take slots the
+    plan gave to later entries, so planned starts slip."""
+    fm = FaultModel(lambda0=lambda0, d=3.0, f_min=0.5)
+    return generate(WorkloadSpec(n_tasks=n_tasks, n_vms=4, npe_range=(1, 4),
+                                 submit_mode="uniform", submit_horizon=2.0,
+                                 slack_factor_range=(1.5, 6.0), seed=seed),
+                    fault_model=fm)
+
+
+def _too_few_slots_case():
+    """Hand schedule: task 2's planned start lands on a 1-slot node although
+    it needs 2 elements, task 3 is planned before its submission, and task 4
+    is planned while task 1 still holds node 1."""
+    tasks = [make_task(id=1, deadline=9.0), make_task(id=2, npe=2, deadline=9.0),
+             make_task(id=3, deadline=9.0, submit_time=0.5),
+             make_task(id=4, deadline=9.0)]
+    nodes = [make_node(id=1, npe_slots=1), make_node(id=2, npe_slots=2)]
+    inst = simple_instance(tasks, nodes, FaultModel(lambda0=0.5, d=3.0, f_min=0.5))
+    sched = Schedule(entries=[ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0),
+                              ScheduleEntry.make(2, 1, 0.0, 1.0, 1.0),
+                              ScheduleEntry.make(3, 2, 0.0, 1.0, 1.0),
+                              ScheduleEntry.make(4, 1, 0.5, 1.0, 1.0)])
+    return inst, sched
+
+
+def _scheduled(algorithm, lambda0, n_tasks, seed):
+    inst = _storm_instance(lambda0, n_tasks, seed)
+    if algorithm == "pso":
+        sched = pso_schedule(inst.tasks, inst.nodes,
+                             PsoConfig(swarm_size=8, iterations=10), seed=seed)
+    else:
+        sched = {"fcfs": fcfs_schedule, "rr": rr_schedule}[algorithm](
+            inst.tasks, inst.nodes)
+    return inst, sched
+
+
+# Fixed digests of sim.run on non-GAP schedules under both detection modes:
+# events, statuses, full segments, waits, completions, fault events and the
+# report. Recorded before the event loop was rewritten; a change to the loop
+# must reproduce them bit for bit.
+SIM_GOLDEN = [
+    ("fcfs-0.5", lambda: _scheduled("fcfs", 0.5, 40, 1), "6d06bb362fe9b220"),
+    ("fcfs-2", lambda: _scheduled("fcfs", 2.0, 40, 2), "ed5ff0a48b09ed0b"),
+    ("rr-0.5", lambda: _scheduled("rr", 0.5, 40, 3), "ae8751e43d978627"),
+    ("rr-2", lambda: _scheduled("rr", 2.0, 40, 4), "3ab2afe04f7b0bb7"),
+    ("pso-0.5", lambda: _scheduled("pso", 0.5, 20, 5), "644c16783d4c6a3b"),
+    ("pso-2", lambda: _scheduled("pso", 2.0, 20, 6), "d7e8a625681b74b6"),
+    ("too-few-slots", _too_few_slots_case, "7a7be96a86c067e6"),
+]
+
+
+def _sim_key(trace, rep):
+    return ([(e.time, e.kind.value, e.task_id, e.node_id) for e in trace.events],
+            sorted((t, s.value) for t, s in trace.status.items()),
+            [(s.task_id, s.node_id, s.start, s.exec_time, s.completion, s.rho,
+              s.phase.value) for s in trace.segments],
+            sorted(trace.waits.items()), sorted(trace.completion.items()),
+            [(f.task_id, f.node_id, f.elapsed) for f in trace.fault_events],
+            dataclasses.astuple(rep))
+
+
+@pytest.mark.parametrize("name,build,digest", SIM_GOLDEN,
+                         ids=[case[0] for case in SIM_GOLDEN])
+def test_sim_matches_golden_digest(name, build, digest):
+    inst, sched = build()
+    runs = [_sim_key(*run(sched, inst, inst.fault_model,
+                          FaultSampler(f"sim-golden/{name}"), detection))
+            for detection in DETECTION_MODES]
+    assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == digest
+
+
+def test_sim_golden_cases_slip_starts_and_fault_backups():
+    """The generated golden cases reach the re-push path of a slipped start
+    and fault runtime backups."""
+    slipped = faulted_backups = 0
+    for name, build, _ in SIM_GOLDEN[:-1]:
+        inst, sched = build()
+        planned = {e.task_id: e.start for e in sched.entries}
+        for detection in DETECTION_MODES:
+            trace, _ = run(sched, inst, inst.fault_model,
+                           FaultSampler(f"sim-golden/{name}"), detection)
+            first = {}
+            for e in trace.events:
+                if e.kind is EventKind.START:
+                    first.setdefault(e.task_id, e.time)
+            slipped += sum(1 for t, s in first.items() if s > planned[t])
+            # Every planned entry is a primary, so a second fault of one
+            # task is a fault of its runtime backup.
+            faults = Counter(f.task_id for f in trace.fault_events)
+            faulted_backups += sum(1 for n in faults.values() if n > 1)
+    assert slipped > 0 and faulted_backups > 0
+
+
 def test_cb_counts_a_task_missing_from_the_schedule():
     tasks = [make_task(id=1, deadline=5.0), make_task(id=2, deadline=5.0)]
     inst = simple_instance(tasks, [make_node()])
@@ -114,6 +210,15 @@ def test_planned_start_on_a_node_with_too_few_slots_fails():
     trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(4))
     assert trace.status[1] is TaskStatus.FAILED
     assert not trace.segments and rep.cb == 1
+
+
+def test_segment_is_the_realized_window():
+    # An entry whose completion disagrees with start + exec_time still gets
+    # the window it ran in as its segment.
+    inst = simple_instance([make_task(id=1, deadline=9.0)], [make_node()])
+    planned = ScheduleEntry(1, 1, 0.0, 1.0, 5.0, 1.0)
+    trace, _ = run(Schedule(entries=[planned]), inst, NO_FAULTS, FaultSampler(1))
+    assert trace.segments == [ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0)]
 
 
 def test_three_serialized_tasks_wait_0_1_2():
@@ -269,6 +374,18 @@ def test_unknown_ids_rejected():
         run(bogus_node, inst, NO_FAULTS, FaultSampler(1))
 
 
+def test_task_listed_twice_rejected():
+    inst = generate(WorkloadSpec(n_tasks=4, n_vms=2, seed=3), fault_model=NO_FAULTS)
+    sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
+    first = sched.entries[0]
+    twice = dataclasses.replace(sched, entries=sched.entries + [first])
+    with pytest.raises(ValueError, match=f"task {first.task_id} in more than one entry"):
+        run(twice, inst, NO_FAULTS, FaultSampler(1))
+    also_failed = dataclasses.replace(sched, failed=sched.failed + [first.task_id])
+    with pytest.raises(ValueError, match=f"task {first.task_id} both in an entry"):
+        run(also_failed, inst, NO_FAULTS, FaultSampler(1))
+
+
 def test_detection_mode_validated_and_at_completion_runs():
     task = make_task(length=1000, deadline=50.0)
     nodes = [make_node(id=1), make_node(id=2)]
@@ -370,3 +487,47 @@ def segment_traces(draw):
 @given(case=segment_traces())
 def test_check_capacity_matches_quadratic_reference(case):
     assert check_capacity(*case) == quadratic_check_capacity(*case)
+
+
+@st.composite
+def simulated_cells(draw):
+    """A generated instance, its GAP or FCFS schedule, and a run's inputs."""
+    spec = WorkloadSpec(n_tasks=draw(st.integers(0, 60)), n_vms=draw(st.integers(1, 8)),
+                        npe_range=(1, draw(st.integers(1, 8))), submit_mode="uniform",
+                        submit_horizon=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                        slack_factor_range=(1.05, draw(st.sampled_from([1.6, 4.0]))),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    fm = FaultModel(lambda0=draw(st.floats(0.0, 2.0)), d=3.0, f_min=0.5)
+    inst = generate(spec, fault_model=fm)
+    if draw(st.booleans()):
+        sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
+    else:
+        sched = fcfs_schedule(inst.tasks, inst.nodes)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return inst, sched, seed, draw(st.sampled_from(DETECTION_MODES))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cell=simulated_cells())
+def test_run_invariants_on_generated_cells(cell):
+    """Capacity holds, the segments price to the reported energy exactly,
+    every task ends once with a status its faults explain, and a replay is
+    equal."""
+    inst, sched, seed, detection = cell
+    trace, rep = run(sched, inst, inst.fault_model, FaultSampler(seed), detection)
+    assert check_capacity(trace, inst) == []
+    nodes = {n.id: n for n in inst.nodes}
+    assert schedule_energy(nodes, trace.segments) == rep.total_energy
+
+    assert set(trace.status) == {t.id for t in inst.tasks}
+    done = Counter(e.task_id for e in trace.events if e.kind is EventKind.COMPLETION)
+    faults = Counter(f.task_id for f in trace.fault_events)
+    for tid, status in trace.status.items():
+        if status is TaskStatus.FAILED:
+            assert done[tid] == 0 and tid not in trace.completion
+        else:
+            assert done[tid] == 1 and tid in trace.completion
+            assert faults[tid] == (status is TaskStatus.COMPLETED_VIA_BACKUP)
+        assert faults[tid] <= 2
+
+    assert run(sched, inst, inst.fault_model, FaultSampler(seed), detection) == (trace, rep)
