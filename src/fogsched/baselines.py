@@ -17,6 +17,10 @@ from .gap import GapState
 from .model import FogNode, Phase, Schedule, ScheduleEntry, Task
 from .power import active_power
 
+# Particle-swarm velocity update: the inertia weight of Shi & Eberhart
+# (ICEC 1998) with Kennedy & Eberhart's cognitive and social factors.
+INERTIA, COGNITIVE, SOCIAL = 0.7, 1.5, 1.5
+
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -28,9 +32,6 @@ class PsoConfig:
 
     swarm_size: int = 30
     iterations: int = 100
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
     penalty: float | None = None
 
     def validate(self) -> None:
@@ -38,10 +39,6 @@ class PsoConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.inertia <= 1.0:
-            raise ValueError("inertia must be in [0, 1]")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social factors must be > 0")
         if self.penalty is not None and self.penalty <= 0:
             raise ValueError("penalty must be > 0")
 
@@ -206,8 +203,8 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     for _ in range(cfg.iterations):
         r1 = rng.random(pos.shape)
         r2 = rng.random(pos.shape)
-        vel = cfg.inertia * vel + cfg.cognitive * r1 * (pbest - pos) \
-            + cfg.social * r2 * (gbest[None, :] - pos)
+        vel = INERTIA * vel + COGNITIVE * r1 * (pbest - pos) \
+            + SOCIAL * r2 * (gbest[None, :] - pos)
         pos = np.clip(pos + vel, 0.0, hi[None, :])
         fit = fitness(pos)
         improved = fit < pbest_fit

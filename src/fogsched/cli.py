@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 invariant failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -134,14 +135,6 @@ def _scenarios(cfg: ExperimentConfig) -> list[tuple[str, int, Instance]]:
     return items
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Execute every (scenario, algorithm, seed) cell; returns the rows.
 
@@ -186,10 +179,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def write_rows_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+    """None is written as an empty cell and a float as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _scenario_axis(scenario: str) -> tuple[str, float] | None:
@@ -308,12 +302,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_verify() -> int:
     results = checks.run_all()
-    width = max(len(r.name) for r in results)
+    width = max(len(name) for name, _, _ in results)
     failures = 0
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        failures += 0 if r.passed else 1
-        print(f"{mark} {r.name:<{width}}  {r.detail}")
+    for name, passed, detail in results:
+        failures += not passed
+        print(f"{'PASS' if passed else 'FAIL'} {name:<{width}}  {detail}")
     print(f"\n{len(results) - failures}/{len(results)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 

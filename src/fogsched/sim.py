@@ -38,16 +38,13 @@ class EventKind(str, Enum):
 DETECTION_MODES = ("immediate", "at_completion")
 
 # Tie order for simultaneous events; the event loop dispatches on the rank.
-_RANK = {EventKind.COMPLETION: 0, EventKind.FAULT: 1, EventKind.ARRIVAL: 2,
-         EventKind.START: 3, EventKind.BACKUP_DISPATCH: 4}
+_R_COMPLETION, _R_FAULT, _R_ARRIVAL, _R_START, _R_DISPATCH = range(5)
 
 # Aliases the event loop reads instead of enum class attributes: on CPython
 # 3.11 `EventKind.START` takes about 0.15 us, a global load a few ns.
 _ARRIVAL, _START, _FAULT, _COMPLETION, _DISPATCH = (
     EventKind.ARRIVAL, EventKind.START, EventKind.FAULT, EventKind.COMPLETION,
     EventKind.BACKUP_DISPATCH)
-_R_ARRIVAL, _R_START, _R_FAULT, _R_COMPLETION, _R_DISPATCH = (
-    _RANK[k] for k in (_ARRIVAL, _START, _FAULT, _COMPLETION, _DISPATCH))
 _BACKUP = Phase.BACKUP
 
 
@@ -128,8 +125,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     lam = fault_rate_freq(fm, rho)
 
     status = trace.status
-    for tid in schedule.failed:
-        status[tid] = TaskStatus.FAILED
     for t in instance.tasks:
         if t.id not in scheduled:
             status[t.id] = TaskStatus.FAILED  # failed or never scheduled

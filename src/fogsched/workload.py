@@ -50,7 +50,6 @@ class WorkloadSpec:
     length_range: tuple[int, int] = (1000, 2000)
     mips_range: tuple[int, int] = (1000, 2000)
     npe_range: tuple[int, int] = (1, 8)
-    deadline_base: float = 0.0
     slack_factor_range: tuple[float, float] = (1.5, 4.0)
     submit_mode: str = "zero"          # "zero" | "uniform"
     submit_horizon: float = 0.0        # upper bound of uniform submits
@@ -76,9 +75,9 @@ class WorkloadSpec:
             raise ValueError(f"npe_range must lie in [1, {NPE_MAX}]")
         slack = self.slack_factor_range[0]
         shortest = min(self.length_range[0] * slack, self.length_range[1] * slack)
-        if self.deadline_base + shortest / self.mips_range[0] <= 0:
-            raise ValueError("deadline_base and slack_factor_range must put "
-                             "every deadline after its submit time")
+        if shortest / self.mips_range[0] <= 0:
+            raise ValueError("slack_factor_range must put every deadline "
+                             "after its submit time")
         if self.submit_horizon < 0 or (self.submit_horizon and self.submit_mode != "uniform"):
             raise ValueError('submit_horizon must be >= 0, and 0 unless submit_mode is "uniform"')
 
@@ -107,13 +106,13 @@ def generate(spec: WorkloadSpec,
     for i in range(spec.n_tasks):
         length = rng.randint(*spec.length_range)
         npe = min(rng.randint(*spec.npe_range), npe_cap)
-        if spec.submit_mode == "uniform" and spec.submit_horizon > 0:
+        if spec.submit_horizon > 0:  # validate allows it only in "uniform" mode
             submit = rng.uniform(0.0, spec.submit_horizon)
         else:
             submit = 0.0
         slack = rng.uniform(*spec.slack_factor_range)
         estimate = length / spec.mips_range[0]  # pessimistic: slowest MIPS
-        deadline = submit + spec.deadline_base + estimate * slack
+        deadline = submit + estimate * slack
         tasks.append(Task(id=i + 1, length=length, deadline=deadline,
                           submit_time=submit, npe=npe))
     return validate_instance(tasks, nodes, dvfs, fault_model)

@@ -159,10 +159,6 @@ def test_pso_config_validation():
     with pytest.raises(ValueError):
         PsoConfig(iterations=0).validate()
     with pytest.raises(ValueError):
-        PsoConfig(inertia=1.5).validate()
-    with pytest.raises(ValueError):
-        PsoConfig(cognitive=0.0).validate()
-    with pytest.raises(ValueError):
         PsoConfig(penalty=-1.0).validate()
 
 

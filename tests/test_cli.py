@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -8,8 +9,9 @@ import pytest
 from conftest import make_node, make_task
 from fogsched import checks
 from fogsched.baselines import PsoConfig
-from fogsched.cli import (CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO, EXIT_USAGE,
-                          ExperimentConfig, load_config, main, run_experiment)
+from fogsched.cli import (ALGORITHMS, CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO,
+                          EXIT_USAGE, ExperimentConfig, load_config, main,
+                          run_experiment)
 from fogsched.model import (DvfsConfig, FaultModel, dumps_instance,
                             save_instance, validate_instance)
 from fogsched.workload import WorkloadSpec
@@ -41,6 +43,32 @@ def test_identical_config_reruns_byte_identical(tmp_path):
         return [",".join(line.split(",")[:-1]) for line in lines]  # drop wall_ms
 
     assert stable(tmp_path / "a") == stable(tmp_path / "b")
+
+
+# Fixed sha256 prefixes of results.csv with its wall_ms column dropped.
+# "all-deferred" has a slack too tight for any admission, so GAP's and
+# WGAP's act_s and awt_s cells are empty.
+RESULTS_GOLDEN = [
+    ("six-algorithms", dict(
+        algorithms=ALGORITHMS, seeds=2,
+        workload=WorkloadSpec(n_tasks=16, n_vms=4, submit_mode="uniform",
+                              submit_horizon=0.5),
+        fault_model=FaultModel(lambda0=1e-3, d=3.0, f_min=0.5)), "82c89164a7d2acc9"),
+    ("all-deferred", dict(
+        algorithms=ALGORITHMS, seeds=1,
+        workload=WorkloadSpec(n_tasks=12, n_vms=3, slack_factor_range=(0.1, 0.2))),
+     "fa0ee50b45180584"),
+]
+
+
+@pytest.mark.parametrize("name,kw,digest", RESULTS_GOLDEN,
+                         ids=[case[0] for case in RESULTS_GOLDEN])
+def test_results_csv_matches_golden_digest(tmp_path, name, kw, digest):
+    run_experiment(small_cfg(tmp_path, **kw))
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0].endswith(",wall_ms")
+    stable = "\n".join(line.rsplit(",", 1)[0] for line in lines)
+    assert hashlib.sha256(stable.encode()).hexdigest()[:16] == digest
 
 
 def test_row_count_matches_grid(tmp_path):
@@ -302,6 +330,10 @@ def test_readme_example_config_parses(tmp_path):
     ({"workload": {"seed_index": 2}}, "workload.seed_index"),
     ({"algorithms": ["gap", "gap"]}, "algorithms"),
     ({"emit": []}, "emit"),
+    # Swarm coefficients are constants, not keys.
+    ({"pso": {"inertia": 0.5}}, "inertia"),
+    ({"pso": {"cognitive": 2.0}}, "cognitive"),
+    ({"pso": {"social": 2.0}}, "social"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"
