@@ -1,9 +1,9 @@
 """Named invariant checks behind the `verify` CLI command.
 
 Each check raises CheckFailed naming the first witness of a broken property
-and otherwise returns its evidence as a dict. The deadline-safety and
-backup-separation budgets are sized for an interactive run of a few seconds;
-the acceptance suite runs those two at full scale.
+and otherwise returns its evidence as a dict. Every check runs at one fixed
+scale, the acceptance suite's: deadline safety and backup separation each
+take 500 generated instances.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import baselines, gap, oracle, sim
 from .model import DvfsConfig, FaultModel, FogNode, Phase
 from .power import dynamic_power, scaled_vf, schedule_energy
 from .reliability import FaultSampler, fault_probability, fault_rate_freq, reliability
-from .workload import WorkloadSpec, generate
+from .workload import LENGTH_RANGE, MIPS_RANGE, WorkloadSpec, generate
 
 
 class CheckFailed(Exception):
@@ -75,7 +75,8 @@ def check_cubic_power() -> dict:
     return {"pairs": samples, "worst": worst}
 
 
-def check_deadline_safety(instances: int = 100) -> dict:
+def check_deadline_safety() -> dict:
+    instances = 500
     rng = random.Random(777)
     entries = 0
     for i in range(instances):
@@ -95,7 +96,8 @@ def check_deadline_safety(instances: int = 100) -> dict:
     return {"instances": instances, "entries": entries}
 
 
-def check_backup_separation(runs: int = 100) -> dict:
+def check_backup_separation() -> dict:
+    runs = 500
     rng = random.Random(888)
     fm = FaultModel(lambda0=1e-3, d=3.0, f_min=0.5)
     backups = 0
@@ -183,8 +185,8 @@ def check_determinism() -> dict:
 def check_workload_ranges() -> dict:
     draws = 10_000
     inst = generate(WorkloadSpec(n_tasks=draws, n_vms=50, seed=9))
-    ok = all(1000 <= t.length <= 2000 for t in inst.tasks) \
-        and all(1000 <= n.mips <= 2000 for n in inst.nodes) \
+    ok = all(LENGTH_RANGE[0] <= t.length <= LENGTH_RANGE[1] for t in inst.tasks) \
+        and all(MIPS_RANGE[0] <= n.mips <= MIPS_RANGE[1] for n in inst.nodes) \
         and all(1 <= t.npe <= 8 for t in inst.tasks)
     _require(ok, "value outside configured range")
     return {"draws": draws}

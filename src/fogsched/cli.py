@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -190,9 +191,10 @@ def _scenario_axis(scenario: str) -> tuple[str, float] | None:
     for prefix in ("tasks", "vms"):
         if scenario.startswith(prefix):
             try:
-                return prefix, float(scenario[len(prefix):])
+                x = float(scenario[len(prefix):])
             except ValueError:
                 return None
+            return (prefix, x) if math.isfinite(x) else None
     return None
 
 

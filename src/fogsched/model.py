@@ -9,6 +9,7 @@ malformed records can still be built, inspected, and reported on.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -116,7 +117,7 @@ class Schedule:
 
     backup_list holds tasks deferred because no feasible primary mapping
     existed; failed holds tasks the schedule does not run. cp and cb are
-    their lengths; assignment maps each entry's task to its node.
+    their lengths.
     """
 
     entries: list[ScheduleEntry] = field(default_factory=list)
@@ -131,10 +132,6 @@ class Schedule:
     @property
     def cb(self) -> int:
         return len(self.failed)
-
-    @property
-    def assignment(self) -> dict[int, int]:
-        return {e.task_id: e.node_id for e in self.entries}
 
     def primary_entries(self) -> list[ScheduleEntry]:
         return [e for e in self.entries if e.phase is Phase.PRIMARY]
@@ -167,26 +164,12 @@ class MetricsReport:
     reliability_estimate: float = 1.0
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant, naming the offending record and field."""
-
-    record: str   # e.g. "task", "node", "dvfs", "fault_model", "instance"
-    record_id: int | None
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        where = f"{self.record}[{self.record_id}]" if self.record_id is not None else self.record
-        return f"{where}.{self.field}: {self.message}"
-
-
 class InvalidInstanceError(ValueError):
     """Raised when an instance breaks one or more invariants; carries them all."""
 
-    def __init__(self, violations: list[Violation]):
+    def __init__(self, violations: list[str]):
         self.violations = violations
-        lines = "; ".join(str(v) for v in violations)
+        lines = "; ".join(violations)
         super().__init__(f"{len(violations)} invariant violation(s): {lines}")
 
 
@@ -204,73 +187,79 @@ NPE_MAX = 8  # processor-element range is [1, 8] for both tasks and nodes
 
 
 def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
-                   fault_model: FaultModel) -> list[Violation]:
-    """Return the full list of invariant violations (empty when valid)."""
-    out: list[Violation] = []
+                   fault_model: FaultModel) -> list[str]:
+    """Return every invariant violation as a "record[id].field: message"
+    string (empty when valid)."""
+    out: list[str] = []
     seen_task_ids: set[int] = set()
     for t in tasks:
         if t.id in seen_task_ids:
-            out.append(Violation("task", t.id, "id", "id must be unique"))
+            out.append(f"task[{t.id}].id: id must be unique")
         seen_task_ids.add(t.id)
         if t.length <= 0:
-            out.append(Violation("task", t.id, "length", "length must be > 0"))
+            out.append(f"task[{t.id}].length: length must be > 0")
         if t.submit_time < 0:
-            out.append(Violation("task", t.id, "submit_time", "submit_time must be >= 0"))
+            out.append(f"task[{t.id}].submit_time: submit_time must be >= 0")
         elif t.deadline <= t.submit_time:
-            out.append(Violation("task", t.id, "deadline", "deadline must exceed submit_time"))
+            out.append(f"task[{t.id}].deadline: deadline must exceed submit_time")
         if not 1 <= t.npe <= NPE_MAX:
-            out.append(Violation("task", t.id, "npe", f"npe must be in [1, {NPE_MAX}]"))
+            out.append(f"task[{t.id}].npe: npe must be in [1, {NPE_MAX}]")
         if (t.role is Phase.BACKUP) != (t.backup_of is not None):
-            out.append(Violation("task", t.id, "backup_of",
-                                 "backup_of must be set exactly when role is backup"))
+            out.append(f"task[{t.id}].backup_of: "
+                       "backup_of must be set exactly when role is backup")
 
     seen_node_ids: set[int] = set()
     for n in nodes:
         if n.id in seen_node_ids:
-            out.append(Violation("node", n.id, "id", "id must be unique"))
+            out.append(f"node[{n.id}].id: id must be unique")
         seen_node_ids.add(n.id)
         if n.mips <= 0:
-            out.append(Violation("node", n.id, "mips", "mips must be > 0"))
+            out.append(f"node[{n.id}].mips: mips must be > 0")
         if n.v_max <= 0:
-            out.append(Violation("node", n.id, "v_max", "v_max must be > 0"))
+            out.append(f"node[{n.id}].v_max: v_max must be > 0")
         if n.f_max <= 0:
-            out.append(Violation("node", n.id, "f_max", "f_max must be > 0"))
+            out.append(f"node[{n.id}].f_max: f_max must be > 0")
         if n.npe_slots < 1:
-            out.append(Violation("node", n.id, "npe_slots", "npe_slots must be >= 1"))
+            out.append(f"node[{n.id}].npe_slots: npe_slots must be >= 1")
         if not 0.0 <= n.activity <= 1.0:
-            out.append(Violation("node", n.id, "activity", "activity must be in [0, 1]"))
+            out.append(f"node[{n.id}].activity: activity must be in [0, 1]")
         if n.load_cap < 0:
-            out.append(Violation("node", n.id, "load_cap", "load_cap must be >= 0"))
+            out.append(f"node[{n.id}].load_cap: load_cap must be >= 0")
         if n.static_power < 0:
-            out.append(Violation("node", n.id, "static_power", "static_power must be >= 0"))
+            out.append(f"node[{n.id}].static_power: static_power must be >= 0")
+        # GAP normalizes each run's energy by the same run at full speed.
+        full_power = n.activity * n.load_cap * n.v_max * n.v_max * n.f_max + n.static_power
+        if n.v_max > 0 and n.f_max > 0 and full_power == 0:
+            out.append(f"node[{n.id}].power: full-speed power must be > 0 "
+                       "(activity and load_cap, or static_power)")
 
     levels = dvfs.levels
     if not levels:
-        out.append(Violation("dvfs", None, "levels", "levels must be nonempty"))
+        out.append("dvfs.levels: levels must be nonempty")
     else:
         if any(not 0.0 < r <= 1.0 for r in levels):
-            out.append(Violation("dvfs", None, "levels", "every level must lie in (0, 1]"))
+            out.append("dvfs.levels: every level must lie in (0, 1]")
         if any(b <= a for a, b in zip(levels, levels[1:])):
-            out.append(Violation("dvfs", None, "levels", "levels must be strictly increasing"))
+            out.append("dvfs.levels: levels must be strictly increasing")
         if 1.0 not in levels:
-            out.append(Violation("dvfs", None, "levels", "levels must contain 1.0"))
+            out.append("dvfs.levels: levels must contain 1.0")
 
     fm = fault_model
     if fm.lambda0 < 0:
-        out.append(Violation("fault_model", None, "lambda0", "lambda0 must be >= 0"))
+        out.append("fault_model.lambda0: lambda0 must be >= 0")
     if fm.d <= 0:
-        out.append(Violation("fault_model", None, "d", "d must be > 0"))
+        out.append("fault_model.d: d must be > 0")
     if not 0.0 < fm.f_min < 1.0:
-        out.append(Violation("fault_model", None, "f_min", "f_min must lie in (0, 1)"))
+        out.append("fault_model.f_min: f_min must lie in (0, 1)")
     if fm.d_volt is not None and fm.d_volt <= 0:
-        out.append(Violation("fault_model", None, "d_volt", "d_volt must be > 0"))
+        out.append("fault_model.d_volt: d_volt must be > 0")
 
     # Cross-check: the fault-rate model is only defined for normalized
     # frequencies >= f_min, so every DVFS level must clear it.
     if levels and 0.0 < fm.f_min < 1.0 and all(0.0 < r <= 1.0 for r in levels):
         if levels[0] < fm.f_min:
-            out.append(Violation("instance", None, "dvfs.levels",
-                                 "lowest DVFS level is below fault_model.f_min"))
+            out.append("instance.dvfs.levels: "
+                       "lowest DVFS level is below fault_model.f_min")
     return out
 
 
@@ -311,6 +300,8 @@ def record_from_dict(cls, doc):
     every field without a default must be present, and every value must
     have its field's type: an int is accepted for a float, a list for a
     tuple or list, an object for a nested record and a value for an enum.
+    A float must be finite: json reads NaN and Infinity, 1e400 as inf, and an
+    int past the float range would overflow on first use.
     Otherwise RecordError names the path to the offending key.
     """
     return _convert(cls, doc, cls.__name__)
@@ -318,6 +309,8 @@ def record_from_dict(cls, doc):
 
 def _convert(tp, value, where: str):
     if type(value) is tp or (tp is float and type(value) is int):
+        if tp is float and not abs(value) <= sys.float_info.max:
+            raise RecordError(f"{where} must be a finite number, not {value!r}")
         return value
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):

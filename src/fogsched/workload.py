@@ -1,10 +1,11 @@
 """Seeded random instance generation and the standard experiment sweep.
 
-Task lengths, node MIPS, and processor-element counts are drawn uniformly
-(integers, inclusive) from configurable ranges; deadlines are the submit
-time plus a slack multiple of the pessimistic execution estimate (length
-over the slowest possible MIPS). Node electrical constants come from a
-fixed host profile so absolute joule figures are model-relative.
+Task lengths and node MIPS are drawn uniformly (integers, inclusive) from
+the fixed ranges LENGTH_RANGE and MIPS_RANGE, processor-element counts from
+the spec's npe_range; deadlines are the submit time plus a slack multiple of
+the pessimistic execution estimate (length over the slowest possible MIPS).
+Node electrical constants come from a fixed host profile so absolute joule
+figures are model-relative.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from dataclasses import dataclass
 
 from .model import (NPE_MAX, DvfsConfig, FaultModel, FogNode, Instance, Task,
                     validate_instance)
+
+# Task lengths (MI) and node speeds (MI/s at full frequency) of every
+# generated instance.
+LENGTH_RANGE = (1000, 2000)
+MIPS_RANGE = (1000, 2000)
 
 # Per-VM RAM and bandwidth, carried as configuration only.
 VM_RAM_MB = 256.0
@@ -47,8 +53,6 @@ class WorkloadSpec:
 
     n_tasks: int = 50
     n_vms: int = 10
-    length_range: tuple[int, int] = (1000, 2000)
-    mips_range: tuple[int, int] = (1000, 2000)
     npe_range: tuple[int, int] = (1, 8)
     slack_factor_range: tuple[float, float] = (1.5, 4.0)
     submit_mode: str = "zero"          # "zero" | "uniform"
@@ -60,7 +64,7 @@ class WorkloadSpec:
     def validate(self) -> None:
         if self.n_tasks < 0 or self.n_vms < 0:
             raise ValueError("n_tasks and n_vms must be >= 0")
-        for name in ("length_range", "mips_range", "npe_range", "slack_factor_range"):
+        for name in ("npe_range", "slack_factor_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} must satisfy lo <= hi")
@@ -68,14 +72,9 @@ class WorkloadSpec:
             raise ValueError(f"unknown submit_mode {self.submit_mode!r}")
         # Bounds of check_instance on the extreme draws, so a range that can
         # only generate invalid records fails here, naming its key.
-        for name in ("length_range", "mips_range"):
-            if getattr(self, name)[0] <= 0:
-                raise ValueError(f"{name} must be > 0")
         if self.npe_range[0] < 1 or self.npe_range[1] > NPE_MAX:
             raise ValueError(f"npe_range must lie in [1, {NPE_MAX}]")
-        slack = self.slack_factor_range[0]
-        shortest = min(self.length_range[0] * slack, self.length_range[1] * slack)
-        if shortest / self.mips_range[0] <= 0:
+        if self.slack_factor_range[0] <= 0:
             raise ValueError("slack_factor_range must put every deadline "
                              "after its submit time")
         if self.submit_horizon < 0 or (self.submit_horizon and self.submit_mode != "uniform"):
@@ -94,7 +93,7 @@ def generate(spec: WorkloadSpec,
     rng = random.Random(spec.seed)
     nodes = []
     for j in range(spec.n_vms):
-        mips = rng.randint(*spec.mips_range)
+        mips = rng.randint(*MIPS_RANGE)
         slots = rng.randint(*spec.npe_range)
         nodes.append(FogNode(
             id=j + 1, mips=float(mips), bandwidth=VM_BANDWIDTH_BPS, ram=VM_RAM_MB,
@@ -104,14 +103,14 @@ def generate(spec: WorkloadSpec,
     npe_cap = max((n.npe_slots for n in nodes), default=spec.npe_range[1])
     tasks = []
     for i in range(spec.n_tasks):
-        length = rng.randint(*spec.length_range)
+        length = rng.randint(*LENGTH_RANGE)
         npe = min(rng.randint(*spec.npe_range), npe_cap)
         if spec.submit_horizon > 0:  # validate allows it only in "uniform" mode
             submit = rng.uniform(0.0, spec.submit_horizon)
         else:
             submit = 0.0
         slack = rng.uniform(*spec.slack_factor_range)
-        estimate = length / spec.mips_range[0]  # pessimistic: slowest MIPS
+        estimate = length / MIPS_RANGE[0]  # pessimistic: slowest MIPS
         deadline = submit + estimate * slack
         tasks.append(Task(id=i + 1, length=length, deadline=deadline,
                           submit_time=submit, npe=npe))

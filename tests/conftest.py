@@ -17,6 +17,11 @@ def make_node(id=1, mips=1000.0, npe_slots=1, v_max=1.2, f_max=1e9,
                    static_power=static_power)
 
 
+def assignment_of(sched):
+    """Each scheduled task's node: {task_id: node_id} over sched.entries."""
+    return {e.task_id: e.node_id for e in sched.entries}
+
+
 @pytest.fixture
 def ref_node():
     """The worked-example node: 0.5 * 2e-9 * 1.2^2 * 1e9 = 1.44 W."""

@@ -127,7 +127,7 @@ def test_c02_cubic_power_identity():
 
 def test_c03_deadline_safety_500_instances():
     t0 = time.perf_counter()
-    ev = checks.check_deadline_safety(500)
+    ev = checks.check_deadline_safety()
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     note(3, f"{ev['instances']} instances, {ev['entries']} entries, zero deadline "
@@ -136,7 +136,7 @@ def test_c03_deadline_safety_500_instances():
 
 def test_c04_backup_separation_500_fault_runs():
     t0 = time.perf_counter()
-    ev = checks.check_backup_separation(500)
+    ev = checks.check_backup_separation()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     assert ev["backups"] > 100  # the fault rate must actually exercise recovery

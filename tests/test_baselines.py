@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_node, make_task
+from conftest import assignment_of, make_node, make_task
 from fogsched import sim
 from fogsched.baselines import (PsoConfig, fcfs_schedule, pso_schedule,
                                 rr_schedule, sjf_schedule)
@@ -20,7 +20,7 @@ def test_fcfs_two_tasks_two_idle_nodes():
     tasks = [make_task(id=1, deadline=10.0), make_task(id=2, deadline=10.0)]
     nodes = [make_node(id=1), make_node(id=2)]
     sched = fcfs_schedule(tasks, nodes)
-    assert sched.assignment == {1: 1, 2: 2}
+    assert assignment_of(sched) == {1: 1, 2: 2}
 
 
 def test_fcfs_serializes_on_single_node():
@@ -69,7 +69,7 @@ def test_rr_cycles_nodes():
     tasks = [make_task(id=i, deadline=100.0) for i in range(1, 5)]
     nodes = [make_node(id=1), make_node(id=2)]
     sched = rr_schedule(tasks, nodes)
-    assert [sched.assignment[i] for i in range(1, 5)] == [1, 2, 1, 2]
+    assert [assignment_of(sched)[i] for i in range(1, 5)] == [1, 2, 1, 2]
 
 
 def test_rr_single_node_equals_fcfs():
@@ -82,14 +82,14 @@ def test_rr_idle_nodes_get_one_task_each():
     tasks = [make_task(id=i, deadline=100.0) for i in (1, 2, 3)]
     nodes = [make_node(id=j) for j in (1, 2, 3)]
     sched = rr_schedule(tasks, nodes)
-    assert sorted(sched.assignment.values()) == [1, 2, 3]
+    assert sorted(assignment_of(sched).values()) == [1, 2, 3]
 
 
 def test_rr_skips_incapable_nodes():
     tasks = [make_task(id=1, npe=4, deadline=100.0)]
     nodes = [make_node(id=1, npe_slots=1), make_node(id=2, npe_slots=8)]
     sched = rr_schedule(tasks, nodes)
-    assert sched.assignment[1] == 2
+    assert assignment_of(sched)[1] == 2
 
 
 @pytest.mark.parametrize("build", [fcfs_schedule, sjf_schedule, rr_schedule])
@@ -119,7 +119,7 @@ def test_pso_single_task_single_node_matches_oracle():
     tasks = [make_task(id=1, length=800, deadline=100.0)]
     nodes = [make_node(id=1)]
     sched = pso_schedule(tasks, nodes, PsoConfig(swarm_size=4, iterations=3), seed=1)
-    assert sched.assignment == {1: 1}
+    assert assignment_of(sched) == {1: 1}
     oracle = exhaustive(tasks, nodes, DvfsConfig((1.0,)))
     energy = schedule_energy({1: nodes[0]}, sched.entries)
     assert energy == pytest.approx(oracle.best_energy, rel=1e-9)
@@ -150,7 +150,7 @@ def test_pso_deterministic_under_seed():
     b = pso_schedule(inst.tasks, inst.nodes, cfg, seed=5)
     assert a == b
     c = pso_schedule(inst.tasks, inst.nodes, cfg, seed=6)
-    assert a != c or a.assignment == c.assignment  # different seed may still agree
+    assert a != c or assignment_of(a) == assignment_of(c)  # different seed may still agree
 
 
 def test_pso_config_validation():

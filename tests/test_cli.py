@@ -193,6 +193,19 @@ def test_svg_charts_emitted_and_well_formed(tmp_path):
         assert root.tag.endswith("svg")
 
 
+@pytest.mark.parametrize("stem", ["tasksnan", "tasksinf", "tasks1e400"])
+def test_non_finite_scenario_axis_writes_no_chart(tmp_path, stem):
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
+                             FaultModel(0.0, 3.0, 0.5))
+    save_instance(inst, str(tmp_path / f"{stem}.json"))
+    code = main(["run", "--instance", str(tmp_path / f"{stem}.json"),
+                 "--algorithms", "gap", "--emit", "csv,svg",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert (tmp_path / "o" / "results.csv").exists()
+    assert not list((tmp_path / "o").glob("*.svg"))
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg_doc = {
         "algorithms": ["gap"],
@@ -228,6 +241,20 @@ def test_run_with_broken_dvfs_is_invariant_error_before_output(tmp_path, capsys)
     assert not (tmp_path / "o").exists()
 
 
+def test_zero_power_node_instance_is_invariant_error(tmp_path, capsys):
+    inst = validate_instance([make_task()], [make_node(id=1), make_node(id=2)],
+                             DvfsConfig((1.0,)), FaultModel(0.0, 3.0, 0.5))
+    doc = json.loads(dumps_instance(inst))
+    doc["nodes"][1]["load_cap"] = 0
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVARIANT
+    assert err.startswith("fogsched: invalid instance:") and "node[2].power" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("tasks", "role", "bogus"),
     ("tasks", "length", "1000"),
@@ -236,6 +263,12 @@ def test_run_with_broken_dvfs_is_invariant_error_before_output(tmp_path, capsys)
     ("dvfs", "levels", None),
     ("fault_model", None, 5),
     ("tasks", None, {}),
+    # json reads NaN and Infinity, and an overflowing 1e400 as inf.
+    ("tasks", "deadline", float("nan")),
+    ("nodes", "v_max", float("nan")),
+    ("fault_model", "lambda0", float("nan")),
+    ("nodes", "mips", float("inf")),
+    ("nodes", "load_cap", float("inf")),
 ])
 def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, key, value):
     inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
@@ -334,6 +367,12 @@ def test_readme_example_config_parses(tmp_path):
     ({"pso": {"inertia": 0.5}}, "inertia"),
     ({"pso": {"cognitive": 2.0}}, "cognitive"),
     ({"pso": {"social": 2.0}}, "social"),
+    # Non-finite numbers, which json reads from NaN, Infinity and 1e400.
+    ({"pso": {"penalty": float("nan")}}, "pso.penalty must be a finite number"),
+    ({"workload": {"slack_factor_range": [float("nan"), 2]}}, "slack_factor_range[0]"),
+    ({"fault_model": {"lambda0": float("nan"), "d": 3.0, "f_min": 0.5}}, "lambda0"),
+    ({"fault_model": {"lambda0": 1e-6, "d": float("inf"), "f_min": 0.5}}, "fault_model.d"),
+    ({"dvfs": {"levels": [0.6, float("-inf")]}}, "levels[1]"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"
@@ -386,6 +425,9 @@ def test_verify_passes_every_check(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert sum(line.startswith("PASS ") for line in out.splitlines()) == 9
+    # The acceptance scale: the numbers criteria 3 and 4 print.
+    assert "instances=500 entries=17465" in out
+    assert "runs=500 backups=238" in out
     assert "9/9 checks passed" in out
 
 

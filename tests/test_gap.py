@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_node, make_task
+from conftest import assignment_of, make_node, make_task
 from fogsched import sim
 from fogsched.gap import (GapState, _best_node, backup_table, edf_sort,
                           exec_time, gap_schedule, map_backups, map_primaries,
@@ -132,7 +132,7 @@ def test_map_primaries_tie_breaks_lower_node_id():
     task = make_task(length=500, deadline=10.0)
     nodes = [make_node(id=2), make_node(id=1)]
     sched = gap_schedule([task], nodes, DvfsConfig((1.0,)))
-    assert sched.assignment[1] == 1
+    assert assignment_of(sched)[1] == 1
 
 
 def test_map_backups_excludes_primary_node():
@@ -402,7 +402,7 @@ def test_node_choice_tie_breaks():
     fast = make_node(id=2, mips=2000, load_cap=8e-9)
     # The sooner completion of the faster node wins on slack.
     sched = gap_schedule([task], [cheap, fast], DvfsConfig((1.0,)))
-    assert sched.assignment[1] == 2
+    assert assignment_of(sched)[1] == 2
     # Equal MIPS give equal slack, and at full speed the energy term is 1 on
     # every node (it is normalized per node), so payoffs tie; the
     # absolute-energy tie-break wins over node order and picks the cheaper
@@ -410,11 +410,11 @@ def test_node_choice_tie_breaks():
     pricey = make_node(id=1, load_cap=8e-9)
     frugal = make_node(id=2, load_cap=1e-9)
     sched = gap_schedule([task], [pricey, frugal], DvfsConfig((1.0,)))
-    assert sched.assignment[1] == 2
+    assert assignment_of(sched)[1] == 2
     # Fully identical nodes fall through to the lower id.
     twins = [make_node(id=1), make_node(id=2)]
     sched = gap_schedule([task], twins, DvfsConfig((1.0,)))
-    assert sched.assignment[1] == 1
+    assert assignment_of(sched)[1] == 1
 
 
 def _golden_instance(tasks, nodes, fm, dvfs=DvfsConfig((0.6, 0.7, 0.8, 0.9, 1.0))):
@@ -496,7 +496,7 @@ GAP_GOLDEN = [
 def _sched_key(sched):
     return ([(e.task_id, e.node_id, e.start, e.exec_time, e.completion, e.rho,
               e.phase.value) for e in sched.entries],
-            sorted(sched.assignment.items()), sched.selected_rho,
+            sorted((e.task_id, e.node_id) for e in sched.entries), sched.selected_rho,
             sched.backup_list, sched.failed, sched.cp, sched.cb)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_node, make_task
 from fogsched.model import (DvfsConfig, FaultModel, InvalidInstanceError,
-                            Phase, check_instance, dumps_instance,
+                            Phase, RecordError, check_instance, dumps_instance,
                             instance_from_dict, load_instance, save_instance,
                             validate_instance)
 
@@ -28,16 +28,13 @@ def test_deadline_equal_submit_rejected():
     tasks, nodes, dvfs, fm = small_instance()
     tasks[0] = dataclasses.replace(tasks[0], deadline=0.0, submit_time=0.0)
     errors = check_instance(tasks, nodes, dvfs, fm)
-    assert len(errors) == 1
-    assert errors[0].field == "deadline"
-    assert "exceed submit_time" in errors[0].message
+    assert errors == ["task[1].deadline: deadline must exceed submit_time"]
 
 
 def test_dvfs_missing_full_speed_rejected():
     tasks, nodes, _, fm = small_instance()
     errors = check_instance(tasks, nodes, DvfsConfig((0.6, 0.8)), fm)
-    assert len(errors) == 1
-    assert "contain 1.0" in errors[0].message
+    assert errors == ["dvfs.levels: levels must contain 1.0"]
 
 
 def test_validate_raises_with_all_violations():
@@ -72,27 +69,27 @@ SINGLE_BREAKS = [
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], id=1)], d, f),
     lambda t, n, d, f: (t, n, DvfsConfig(()), f),
     lambda t, n, d, f: (t, n, DvfsConfig((0.6, 1.0, 1.2)), f),
+    lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], activity=0.0)], d, f),
 ]
 
 
 @pytest.mark.parametrize("mutate", SINGLE_BREAKS)
 def test_single_broken_invariant_yields_single_error(mutate):
     errors = check_instance(*mutate(*small_instance()))
-    assert len(errors) == 1, [str(e) for e in errors]
+    assert len(errors) == 1, errors
 
 
 def test_duplicate_ids_flagged():
     tasks, nodes, dvfs, fm = small_instance()
     tasks[1] = dataclasses.replace(tasks[1], id=1)
     errors = check_instance(tasks, nodes, dvfs, fm)
-    assert any(e.field == "id" for e in errors)
+    assert "task[1].id: id must be unique" in errors
 
 
 def test_level_below_f_min_flagged():
     tasks, nodes, _, fm = small_instance()
     errors = check_instance(tasks, nodes, DvfsConfig((0.4, 1.0)), fm)
-    assert len(errors) == 1
-    assert "f_min" in errors[0].message
+    assert errors == ["instance.dvfs.levels: lowest DVFS level is below fault_model.f_min"]
 
 
 def test_structural_equality():
@@ -115,6 +112,13 @@ def test_serialization_round_trips_byte_identical(tmp_path):
     assert dumps_instance(loaded) == first
     assert loaded.tasks == inst.tasks
     assert loaded.nodes == inst.nodes
+
+
+def test_int_past_the_float_range_is_rejected():
+    doc = json.loads(dumps_instance(validate_instance(*small_instance())))
+    doc["nodes"][0]["f_max"] = 2**1024  # float() of it overflows
+    with pytest.raises(RecordError, match=r"nodes\[0\]\.f_max must be a finite number"):
+        instance_from_dict(doc)
 
 
 def test_random_single_field_mutations(default_fm):

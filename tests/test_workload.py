@@ -57,7 +57,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         generate(WorkloadSpec(n_tasks=-1, n_vms=1))
     with pytest.raises(ValueError):
-        generate(WorkloadSpec(n_tasks=1, n_vms=1, length_range=(5, 2)))
+        generate(WorkloadSpec(n_tasks=1, n_vms=1, npe_range=(5, 2)))
     with pytest.raises(ValueError):
         generate(WorkloadSpec(n_tasks=1, n_vms=1, submit_mode="poisson"))
 
