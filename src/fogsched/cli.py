@@ -23,16 +23,28 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 from . import baselines, charts, checks, gap, sim
 from .model import (DvfsConfig, FaultModel, Instance, InvalidInstanceError,
-                    RecordError, Schedule, load_instance, record_from_dict,
+                    RecordError, load_instance, record_from_dict,
                     save_instance, validate_instance)
 from .reliability import FaultSampler
 from .workload import (DEFAULT_DVFS, DEFAULT_FAULT_MODEL, WorkloadSpec,
                        generate, paper_sweep, run_seed)
 
-ALGORITHMS = ("gap", "wgap", "fcfs", "sjf", "rr", "pso")
+# Each algorithm's scheduler call on (instance, config, cell seed). Schedulers
+# are looked up on their modules at call time, so a wrapper put there applies.
+_SCHEDULERS = {
+    "gap": lambda i, cfg, seed: gap.gap_schedule(i.tasks, i.nodes, i.dvfs, i.fault_model),
+    "wgap": lambda i, cfg, seed: gap.wgap_schedule(i.tasks, i.nodes, i.fault_model),
+    "fcfs": lambda i, cfg, seed: baselines.fcfs_schedule(i.tasks, i.nodes),
+    "sjf": lambda i, cfg, seed: baselines.sjf_schedule(i.tasks, i.nodes),
+    "rr": lambda i, cfg, seed: baselines.rr_schedule(i.tasks, i.nodes),
+    "pso": lambda i, cfg, seed: baselines.pso_schedule(
+        i.tasks, i.nodes, cfg.pso, seed=int.from_bytes(seed.encode(), "big") % (2**32)),
+}
+ALGORITHMS = tuple(_SCHEDULERS)
 EMIT_KINDS = ("csv", "svg", "trace")
 
 CSV_COLUMNS = [
@@ -61,7 +73,6 @@ class ExperimentConfig:
     emit: tuple[str, ...] = ("csv",)
     master_seed: int | str = 0
     pso: baselines.PsoConfig = field(default_factory=baselines.PsoConfig)
-    detection: str = "immediate"
     dump_instance: bool = False
 
     def validate(self) -> None:
@@ -81,8 +92,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown emit kind {e!r}")
         if self.sweep not in (None, "paper"):
             raise ValueError(f"unknown sweep {self.sweep!r}")
-        if self.detection not in sim.DETECTION_MODES:
-            raise ValueError(f"unknown detection mode {self.detection!r}")
         given = {"sweep": self.sweep, "instance": self.instance_path, "workload": self.workload}
         sources = [name for name, value in given.items() if value is not None]
         if len(sources) > 1:
@@ -97,43 +106,25 @@ class ExperimentConfig:
         validate_instance([], [], self.dvfs, self.fault_model)
 
 
-def _schedule_for(algorithm: str, inst: Instance, cfg: ExperimentConfig,
-                  cell_seed: str) -> Schedule:
-    if algorithm == "gap":
-        return gap.gap_schedule(inst.tasks, inst.nodes, inst.dvfs, inst.fault_model)
-    if algorithm == "wgap":
-        return gap.wgap_schedule(inst.tasks, inst.nodes, inst.fault_model)
-    if algorithm == "fcfs":
-        return baselines.fcfs_schedule(inst.tasks, inst.nodes)
-    if algorithm == "sjf":
-        return baselines.sjf_schedule(inst.tasks, inst.nodes)
-    if algorithm == "rr":
-        return baselines.rr_schedule(inst.tasks, inst.nodes)
-    if algorithm == "pso":
-        seed = int.from_bytes(cell_seed.encode(), "big") % (2**32)
-        return baselines.pso_schedule(inst.tasks, inst.nodes, cfg.pso, seed=seed)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+def _scenarios(cfg: ExperimentConfig) -> Iterator[tuple[str, int, Instance]]:
+    """The (scenario_id, seed_index, instance) work items of the config.
 
-
-def _scenarios(cfg: ExperimentConfig) -> list[tuple[str, int, Instance]]:
-    """Expand config into (scenario_id, seed_index, instance) work items."""
-    items: list[tuple[str, int, Instance]] = []
-    if cfg.sweep == "paper":
-        for spec in paper_sweep(cfg.seeds, cfg.master_seed):
-            inst = generate(spec, fault_model=cfg.fault_model, dvfs=cfg.dvfs)
-            items.append((spec.scenario, spec.seed_index, inst))
-    elif cfg.instance_path is not None:
+    An instance file is read here, so a bad one fails before any output
+    exists; a generated instance is drawn only when its item is reached.
+    """
+    if cfg.instance_path is not None:
         inst = load_instance(cfg.instance_path)
         name = Path(cfg.instance_path).stem
-        for k in range(cfg.seeds):
-            items.append((name, k, inst))
+        return ((name, k, inst) for k in range(cfg.seeds))
+    if cfg.sweep == "paper":
+        specs = ((spec.scenario, spec.seed_index, spec)
+                 for spec in paper_sweep(cfg.seeds, cfg.master_seed))
     else:
         base = cfg.workload or WorkloadSpec()
-        for k in range(cfg.seeds):
-            spec = replace(base, seed=run_seed(cfg.master_seed, "single", k))
-            inst = generate(spec, fault_model=cfg.fault_model, dvfs=cfg.dvfs)
-            items.append(("single", k, inst))
-    return items
+        specs = (("single", k, replace(base, seed=run_seed(cfg.master_seed, "single", k)))
+                 for k in range(cfg.seeds))
+    return ((scenario, k, generate(spec, fault_model=cfg.fault_model, dvfs=cfg.dvfs))
+            for scenario, k, spec in specs)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
@@ -143,39 +134,45 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     written to results.csv when csv is among the emit kinds.
     """
     cfg.validate()
-    scenarios = _scenarios(cfg)  # a bad input fails before any output exists
+    items = _scenarios(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for scenario, k, inst in scenarios:
-        if cfg.dump_instance:
-            save_instance(inst, str(out / f"instance_{scenario}_{k:03d}.json"))
-        seed = run_seed(cfg.master_seed, scenario, k)
-        for algorithm in cfg.algorithms:
-            sampler = FaultSampler(seed)
-            t0 = time.perf_counter()
-            sched = _schedule_for(algorithm, inst, cfg, f"{seed}/{algorithm}")
-            trace, rep = sim.run(sched, inst, inst.fault_model, sampler,
-                                 detection=cfg.detection)
-            wall_ms = int(round((time.perf_counter() - t0) * 1000))
-            rows.append({
-                "scenario_id": scenario, "algorithm": algorithm, "seed": k,
-                "n_tasks": len(inst.tasks), "n_vms": len(inst.nodes),
-                "selected_rho": sched.selected_rho,
-                "total_energy_j": rep.total_energy,
-                "act_s": rep.avg_completion, "awt_s": rep.avg_wait,
-                "avg_power_w": rep.avg_power, "cp": rep.cp, "cb": rep.cb,
-                "missed_deadlines": rep.missed_deadlines,
-                "reliability_estimate": rep.reliability_estimate,
-                "wall_ms": wall_ms,
-            })
-            if "trace" in cfg.emit:
-                sim.write_trace(trace, str(out / f"trace_{scenario}_{algorithm}_{k:03d}.tsv"))
+    rows = [row for item in items for row in _run_item(cfg, *item)]
     rows.sort(key=lambda r: (r["scenario_id"], r["algorithm"], r["seed"]))
     if "csv" in cfg.emit:
         write_rows_csv(rows, str(out / "results.csv"))
     if "svg" in cfg.emit:
         _write_charts(rows, out)
+    return rows
+
+
+def _run_item(cfg: ExperimentConfig, scenario: str, k: int, inst: Instance) -> list[dict]:
+    """Schedule and simulate one work item under each algorithm; returns its
+    rows, one per cell, and writes its instance dump and traces."""
+    out = Path(cfg.output_dir)
+    if cfg.dump_instance:
+        save_instance(inst, str(out / f"instance_{scenario}_{k:03d}.json"))
+    seed = run_seed(cfg.master_seed, scenario, k)
+    rows = []
+    for algorithm in cfg.algorithms:
+        sampler = FaultSampler(seed)
+        t0 = time.perf_counter()
+        sched = _SCHEDULERS[algorithm](inst, cfg, f"{seed}/{algorithm}")
+        trace, rep = sim.run(sched, inst, inst.fault_model, sampler)
+        wall_ms = int(round((time.perf_counter() - t0) * 1000))
+        rows.append({
+            "scenario_id": scenario, "algorithm": algorithm, "seed": k,
+            "n_tasks": len(inst.tasks), "n_vms": len(inst.nodes),
+            "selected_rho": sched.selected_rho,
+            "total_energy_j": rep.total_energy,
+            "act_s": rep.avg_completion, "awt_s": rep.avg_wait,
+            "avg_power_w": rep.avg_power, "cp": rep.cp, "cb": rep.cb,
+            "missed_deadlines": rep.missed_deadlines,
+            "reliability_estimate": rep.reliability_estimate,
+            "wall_ms": wall_ms,
+        })
+        if "trace" in cfg.emit:
+            sim.write_trace(trace, str(out / f"trace_{scenario}_{algorithm}_{k:03d}.tsv"))
     return rows
 
 
@@ -296,7 +293,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     except InvalidInstanceError as exc:
         print(f"fogsched: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, json.JSONDecodeError, RecordError) as exc:
+    except (OSError, RecordError) as exc:
         print(f"fogsched: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -219,8 +219,8 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             out.append(f"node[{n.id}].v_max: v_max must be > 0")
         if n.f_max <= 0:
             out.append(f"node[{n.id}].f_max: f_max must be > 0")
-        if n.npe_slots < 1:
-            out.append(f"node[{n.id}].npe_slots: npe_slots must be >= 1")
+        if not 1 <= n.npe_slots <= NPE_MAX:
+            out.append(f"node[{n.id}].npe_slots: npe_slots must be in [1, {NPE_MAX}]")
         if not 0.0 <= n.activity <= 1.0:
             out.append(f"node[{n.id}].activity: activity must be in [0, 1]")
         if n.load_cap < 0:
@@ -300,8 +300,8 @@ def record_from_dict(cls, doc):
     every field without a default must be present, and every value must
     have its field's type: an int is accepted for a float, a list for a
     tuple or list, an object for a nested record and a value for an enum.
-    A float must be finite: json reads NaN and Infinity, 1e400 as inf, and an
-    int past the float range would overflow on first use.
+    A number must be finite: json reads NaN and Infinity, 1e400 as inf, and an
+    int past the float range, in an int field too, would overflow on first use.
     Otherwise RecordError names the path to the offending key.
     """
     return _convert(cls, doc, cls.__name__)
@@ -309,7 +309,7 @@ def record_from_dict(cls, doc):
 
 def _convert(tp, value, where: str):
     if type(value) is tp or (tp is float and type(value) is int):
-        if tp is float and not abs(value) <= sys.float_info.max:
+        if tp in (int, float) and not abs(value) <= sys.float_info.max:
             raise RecordError(f"{where} must be a finite number, not {value!r}")
         return value
     origin, args = get_origin(tp), get_args(tp)
@@ -359,5 +359,11 @@ def save_instance(inst: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
+    """Read an instance file; text that is not JSON, or an integer literal
+    past Python's digit limit, raises RecordError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise RecordError(f"{path}: {exc}") from None
+    return instance_from_dict(doc)

@@ -10,6 +10,7 @@ figures are model-relative.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -74,11 +75,14 @@ class WorkloadSpec:
         # only generate invalid records fails here, naming its key.
         if self.npe_range[0] < 1 or self.npe_range[1] > NPE_MAX:
             raise ValueError(f"npe_range must lie in [1, {NPE_MAX}]")
-        if self.slack_factor_range[0] <= 0:
-            raise ValueError("slack_factor_range must put every deadline "
-                             "after its submit time")
         if self.submit_horizon < 0 or (self.submit_horizon and self.submit_mode != "uniform"):
             raise ValueError('submit_horizon must be >= 0, and 0 unless submit_mode is "uniform"')
+        # The shortest window, slack times an estimate of at least 1.0 s, must
+        # survive rounding when added to the latest submit time.
+        shortest = self.slack_factor_range[0] * (LENGTH_RANGE[0] / MIPS_RANGE[0])
+        if shortest < math.ulp(self.submit_horizon):
+            raise ValueError("slack_factor_range must put every deadline "
+                             "after its submit time")
 
 
 def generate(spec: WorkloadSpec,

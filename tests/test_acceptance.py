@@ -155,6 +155,7 @@ def test_c05_oracle_bounding_200_instances():
             f"{elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_c06_energy_dominance_on_sweep(sweep):
     rows, _, elapsed = sweep
     assert elapsed < 600.0
@@ -185,6 +186,7 @@ def test_c06_energy_dominance_on_sweep(sweep):
             f"sweep ran {elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_c07_wait_time_trend_on_sweep(sweep):
     rows, _, _ = sweep
     scenarios = sorted({r["scenario_id"] for r in rows})
@@ -207,6 +209,7 @@ def test_c07_wait_time_trend_on_sweep(sweep):
             f"scenarios; mean reductions {txt} (reference claims: 31-41%)")
 
 
+@pytest.mark.slow
 def test_c08_more_vms_cut_wait_for_every_algorithm(sweep):
     rows, _, _ = sweep
     gaps = {}
@@ -246,6 +249,7 @@ def test_c09_scheduling_time_scales_subquadratically():
             f"{t20 * 1e3:.0f} ms, ratio {ratio:.2f} < 3, {elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_c10_sweep_is_byte_deterministic(sweep, tmp_path):
     rows_a, csv_a, first_elapsed = sweep
     cfg = ExperimentConfig(algorithms=ALGOS, sweep="paper", seeds=10,

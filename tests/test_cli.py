@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_node, make_task
-from fogsched import checks
+from fogsched import checks, cli, sim
 from fogsched.baselines import PsoConfig
 from fogsched.cli import (ALGORITHMS, CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO,
                           EXIT_USAGE, ExperimentConfig, load_config, main,
@@ -69,6 +69,21 @@ def test_results_csv_matches_golden_digest(tmp_path, name, kw, digest):
     assert lines[0].endswith(",wall_ms")
     stable = "\n".join(line.rsplit(",", 1)[0] for line in lines)
     assert hashlib.sha256(stable.encode()).hexdigest()[:16] == digest
+
+
+def test_run_generates_each_instance_when_its_cells_run(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "generate", spy("generate", cli.generate))
+    monkeypatch.setattr(sim, "run", spy("run", sim.run))
+    run_experiment(small_cfg(tmp_path, seeds=2))
+    assert calls == ["generate", "run", "generate", "run"]
 
 
 def test_row_count_matches_grid(tmp_path):
@@ -269,6 +284,8 @@ def test_zero_power_node_instance_is_invariant_error(tmp_path, capsys):
     ("fault_model", "lambda0", float("nan")),
     ("nodes", "mips", float("inf")),
     ("nodes", "load_cap", float("inf")),
+    # An int field past the float range overflows where it is divided.
+    pytest.param("tasks", "length", 10**400, id="tasks-length-10**400"),
 ])
 def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, key, value):
     inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
@@ -285,6 +302,21 @@ def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, ke
     err = capsys.readouterr().err
     assert code == EXIT_IO
     assert err.startswith("fogsched:") and (key or section) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_literal_past_the_digit_limit_is_io_error(tmp_path, capsys):
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
+                             FaultModel(0.0, 3.0, 0.5))
+    text = dumps_instance(inst)
+    assert text.count('"npe": 1,') == 1
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"npe": 1,', '"npe": ' + "9" * 5000 + ","))
+    code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("fogsched: I/O failure:") and str(path) in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -332,7 +364,7 @@ def test_readme_example_config_parses(tmp_path):
 
 @pytest.mark.parametrize("doc,needle", [
     ({"pso": {"swarm_size": 1}}, "swarm_size"),
-    ({"detection": "bogus"}, "bogus"),
+    ({"detection": "bogus"}, "detection"),
     ({"master_sed": 5}, "master_sed"),
     ({"fault_model": {"lambda0": 1e-6, "d": 3.0, "f_min": 0.5, "dvolt": 0.1}},
      "dvolt"),
@@ -373,6 +405,9 @@ def test_readme_example_config_parses(tmp_path):
     ({"fault_model": {"lambda0": float("nan"), "d": 3.0, "f_min": 0.5}}, "lambda0"),
     ({"fault_model": {"lambda0": 1e-6, "d": float("inf"), "f_min": 0.5}}, "fault_model.d"),
     ({"dvfs": {"levels": [0.6, float("-inf")]}}, "levels[1]"),
+    # A window so short that submit + window rounds back to submit.
+    ({"workload": {"slack_factor_range": [1e-300, 1e-300], "submit_mode": "uniform",
+                   "submit_horizon": 3.0}}, "slack_factor_range"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"

@@ -70,6 +70,7 @@ SINGLE_BREAKS = [
     lambda t, n, d, f: (t, n, DvfsConfig(()), f),
     lambda t, n, d, f: (t, n, DvfsConfig((0.6, 1.0, 1.2)), f),
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], activity=0.0)], d, f),
+    lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], npe_slots=9)], d, f),
 ]
 
 
