@@ -301,11 +301,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_verify() -> int:
     results = checks.run_all()
-    width = max(len(name) for name, _, _ in results)
+    width = max(len(name) for name, *_ in results)
     failures = 0
-    for name, passed, detail in results:
+    for name, passed, detail, elapsed in results:
         failures += not passed
-        print(f"{'PASS' if passed else 'FAIL'} {name:<{width}}  {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name:<{width}}  {detail}  ({elapsed:.2f} s)")
     print(f"\n{len(results) - failures}/{len(results)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 

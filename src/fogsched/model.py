@@ -310,7 +310,10 @@ def record_from_dict(cls, doc):
 def _convert(tp, value, where: str):
     if type(value) is tp or (tp is float and type(value) is int):
         if tp in (int, float) and not abs(value) <= sys.float_info.max:
-            raise RecordError(f"{where} must be a finite number, not {value!r}")
+            # An int's repr can run to thousands of digits, so name the bound.
+            shown = (repr(value) if type(value) is float
+                     else f"an int past {sys.float_info.max:.2g}")
+            raise RecordError(f"{where} must be a finite number, not {shown}")
         return value
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):

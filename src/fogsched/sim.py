@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -308,6 +309,40 @@ def check_capacity(trace: RunTrace, instance: Instance) -> list[str]:
             if p in starts and load > node.npe_slots:
                 problems.append(
                     f"node {node.id} at t={p}: npe load {load} > {node.npe_slots}")
+    return problems
+
+
+def audit(schedule: Schedule, trace: RunTrace, instance: Instance,
+          report: MetricsReport) -> list[str]:
+    """The invariants of a finished run: node capacity, no backup on its primary's
+    node, segment energies equal to total_energy, and one terminal status per
+    task. Returns violation descriptions naming the task or node (empty when clean)."""
+    problems = check_capacity(trace, instance)
+    primary_node = {e.task_id: e.node_id for e in schedule.entries
+                    if e.phase is Phase.PRIMARY}
+    for s in trace.segments:
+        if s.phase is _BACKUP and primary_node.get(s.task_id) == s.node_id:
+            problems.append(f"backup of task {s.task_id} at t={s.start} "
+                            f"on its primary's node {s.node_id}")
+    energy = schedule_energy({n.id: n for n in instance.nodes}, trace.segments)
+    if energy != report.total_energy:
+        problems.append(f"segment energies sum to {energy!r}, "
+                        f"total_energy is {report.total_energy!r}")
+
+    problems += [f"task {t.id} has no terminal status"
+                 for t in instance.tasks if t.id not in trace.status]
+    done = Counter(e.task_id for e in trace.events if e.kind is _COMPLETION)
+    faults = Counter(f.task_id for f in trace.fault_events)
+    for tid, status in trace.status.items():
+        # A failed task never completed; a completed one did once, and after
+        # a fault only through its backup. A backup's fault ends the task.
+        n, when = done[tid], trace.completion.get(tid)
+        if (n, when is None) != ((0, True) if status is _FAILED else (1, False)):
+            problems.append(f"{status.value} task {tid} has {n} completion "
+                            f"event(s), completion time {when}")
+        elif (faults[tid] > 2 if status is _FAILED
+              else faults[tid] != (status is _VIA_BACKUP)):
+            problems.append(f"{status.value} task {tid} faulted {faults[tid]} time(s)")
     return problems
 
 

@@ -256,5 +256,5 @@ def test_pso_places_each_task_once_within_node_capacity(inst, swarm, seed):
                          PsoConfig(swarm_size=swarm, iterations=5), seed=seed)
     placed = [e.task_id for e in sched.entries]
     assert sorted(placed + sched.failed) == sorted(t.id for t in inst.tasks)
-    trace, _ = sim.run(sched, inst, inst.fault_model, FaultSampler(seed))
-    assert sim.check_capacity(trace, inst) == []
+    trace, rep = sim.run(sched, inst, inst.fault_model, FaultSampler(seed))
+    assert sim.audit(sched, trace, inst, rep) == []

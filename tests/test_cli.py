@@ -286,6 +286,7 @@ def test_zero_power_node_instance_is_invariant_error(tmp_path, capsys):
     ("nodes", "load_cap", float("inf")),
     # An int field past the float range overflows where it is divided.
     pytest.param("tasks", "length", 10**400, id="tasks-length-10**400"),
+    pytest.param("tasks", "length", -10**4000, id="tasks-length--10**4000"),
 ])
 def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, key, value):
     inst = validate_instance([make_task()], [make_node()], DvfsConfig((1.0,)),
@@ -303,6 +304,7 @@ def test_wrong_typed_instance_values_are_io_errors(tmp_path, capsys, section, ke
     assert code == EXIT_IO
     assert err.startswith("fogsched:") and (key or section) in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 200  # one line, never a whole value
     assert not (tmp_path / "o").exists()
 
 
@@ -480,3 +482,5 @@ def test_verify_reports_failing_and_crashing_checks(monkeypatch, capsys):
     assert "FAIL witness  task 3 past deadline" in out
     assert "FAIL crash    raised ZeroDivisionError: division by zero" in out
     assert "0/2 checks passed" in out
+    lines = out.splitlines()[:2]
+    assert all(re.fullmatch(r"FAIL .+  \(\d+\.\d\d s\)", line) for line in lines)

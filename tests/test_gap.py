@@ -277,28 +277,6 @@ def _random_instance(rng, max_tasks=50, max_vms=8, slack=(1.2, 3.5)):
     return generate(spec)
 
 
-def test_deadline_safety_property():
-    """No emitted entry may complete past its deadline."""
-    rng = random.Random(23)
-    for _ in range(60):
-        inst = _random_instance(rng)
-        for sched in (gap_schedule(inst.tasks, inst.nodes, inst.dvfs),
-                      wgap_schedule(inst.tasks, inst.nodes)):
-            deadlines = {t.id: t.deadline for t in inst.tasks}
-            for e in sched.entries:
-                assert e.completion <= deadlines[e.task_id]
-
-
-def test_counter_consistency_property():
-    rng = random.Random(29)
-    for _ in range(40):
-        inst = _random_instance(rng)
-        sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
-        placed = {e.task_id for e in sched.entries}
-        assert not placed & set(sched.failed)
-        assert placed | set(sched.failed) == {t.id for t in inst.tasks}
-
-
 def test_phase_one_processes_in_deadline_order():
     rng = random.Random(31)
     tasks = [make_task(id=i, deadline=rng.uniform(5, 50), length=100)
