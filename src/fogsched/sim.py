@@ -71,22 +71,23 @@ _COMPLETED, _VIA_BACKUP, _FAILED = (
 
 @dataclass
 class RunTrace:
-    """Ordered event log plus per-task outcomes of one run.
+    """The record of one run.
 
-    segments holds the realized execution windows (including the truncated
-    window of a faulted run) with exec_time equal to actual busy time, so
-    re-summing their energies reproduces the report total; a run that went
-    as planned is its schedule's own (frozen) entry. waits holds each
-    started task's time from submission to its first start.
+    events is the ordered event log. status maps every task of the instance
+    to its terminal status, read from the log once the run ends: completed
+    via backup when it has a fault and a completion event, completed when it
+    has a completion alone, failed otherwise. fault_events holds each
+    fault's task, node and elapsed run time, in log order. segments holds the
+    realized execution windows (including the truncated window of a faulted
+    run) with exec_time equal to actual busy time, so re-summing their
+    energies reproduces the report total; a run that went as planned is its
+    schedule's own (frozen) entry.
     """
 
     events: list[Event] = field(default_factory=list)
     status: dict[int, TaskStatus] = field(default_factory=dict)
     fault_events: list[FaultEvent] = field(default_factory=list)
     segments: list[ScheduleEntry] = field(default_factory=list)
-    waits: dict[int, float] = field(default_factory=dict)
-    completion: dict[int, float] = field(default_factory=dict)
-    cp: int = 0
 
 
 def run(schedule: Schedule, instance: Instance, fm: FaultModel,
@@ -118,17 +119,12 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
         if tid in scheduled:
             raise ValueError(f"schedule lists task {tid} both in an entry and as failed")
 
-    trace = RunTrace(cp=schedule.cp)
+    trace = RunTrace()
     state = gap.GapState.fresh(instance.nodes)
     lanes = state.node_free
     rho = schedule.selected_rho
     backup_table = gap.backup_table(instance.nodes, rho)
     lam = fault_rate_freq(fm, rho)
-
-    status = trace.status
-    for t in instance.tasks:
-        if t.id not in scheduled:
-            status[t.id] = TaskStatus.FAILED  # failed or never scheduled
 
     # Every heap key is (time, rank, task id, seq, payload) with a unique
     # seq, so heapifying the initial events pops them in the same order as
@@ -149,12 +145,10 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     log = trace.events.append
     add_segment = trace.segments.append
     add_fault = trace.fault_events.append
-    waits, completions = trace.waits, trace.completion
     occupy, release = state.occupy, state.release
     sample = sampler.sample
     map_backups = gap.map_backups  # looked up per run, so a wrapper applies
     immediate = detection == "immediate"
-    faulted: set[int] = set()
 
     while heap:
         now, rank, tid, _, payload = heappop(heap)
@@ -166,8 +160,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             if not reserved:  # a runtime backup holds its slots from dispatch
                 lane = lanes[node_id]
                 npe = task.npe
-                if npe > len(lane):
-                    status[tid] = _FAILED
+                if npe > len(lane):  # the task fails: it never starts
                     continue
                 start = now
                 avail = lane[npe - 1]
@@ -181,8 +174,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                     continue
                 occupy(node_id, npe, now + exec_time)
             log(new_event(Event, (now, _START, tid, node_id)))
-            if tid not in waits:
-                waits[tid] = now - task.submit_time
             completion = now + exec_time
             occurred, frac = sample(fault_probability(lam, exec_time))
             if occurred:
@@ -202,8 +193,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 add_segment(ScheduleEntry(tid, entry.node_id, started,
                                           entry.exec_time, completion,
                                           entry.rho, entry.phase))
-            completions[tid] = completion
-            status[tid] = _VIA_BACKUP if tid in faulted else _COMPLETED
         elif rank == _R_ARRIVAL:
             log(new_event(Event, (now, _ARRIVAL, tid, None)))
         elif rank == _R_FAULT:
@@ -211,7 +200,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             node_id = entry.node_id
             log(new_event(Event, (now, _FAULT, tid, node_id)))
             add_fault(FaultEvent(tid, node_id, elapsed))
-            faulted.add(tid)
             add_segment(ScheduleEntry(tid, node_id, started, elapsed, now,
                                       entry.rho, entry.phase))
             if immediate:
@@ -219,59 +207,65 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 dispatch_at = now
             else:
                 dispatch_at = planned_completion
-            if entry.phase is _BACKUP:
-                status[tid] = _FAILED
-            else:
+            if entry.phase is not _BACKUP:  # a backup's fault ends the task
                 heappush(heap, (dispatch_at, _R_DISPATCH, tid, seq, node_id))
                 seq += 1
         else:  # _R_DISPATCH; the payload is the faulted primary's node
             backup = map_backups(tasks_by_id[tid], backup_table, rho, state,
                                  payload, now)
-            if backup is None:
-                log(new_event(Event, (now, _DISPATCH, tid, None)))
-                status[tid] = _FAILED
-                continue
-            log(new_event(Event, (now, _DISPATCH, tid, backup.node_id)))
-            heappush(heap, (backup.start, _R_START, tid, seq, (backup, True)))
-            seq += 1
+            log(new_event(Event, (now, _DISPATCH, tid,
+                                  None if backup is None else backup.node_id)))
+            if backup is not None:
+                heappush(heap, (backup.start, _R_START, tid, seq, (backup, True)))
+                seq += 1
 
-    return trace, report(trace, instance)
+    completed = {e.task_id for e in trace.events if e.kind is _COMPLETION}
+    faulted = {e.task_id for e in trace.events if e.kind is _FAULT}
+    trace.status = {t.id: _FAILED if t.id not in completed
+                    else _VIA_BACKUP if t.id in faulted else _COMPLETED
+                    for t in instance.tasks}
+    return trace, report(schedule, trace, instance)
 
 
-def report(trace: RunTrace, instance: Instance) -> MetricsReport:
-    """Aggregate a finished trace into a metrics report.
+def report(schedule: Schedule, trace: RunTrace, instance: Instance) -> MetricsReport:
+    """Aggregate a finished run into a metrics report.
 
-    Mean completion and wait run over executed tasks and are None when no
-    task executed. cb counts the tasks that end FAILED.
+    A task's completion time is its completion event and its wait runs from
+    submission to its first start event. Mean completion and wait run over
+    completed tasks and are None when none completed. cb counts the tasks
+    that never completed; cp is the schedule's.
     """
     nodes_by_id = {n.id: n for n in instance.nodes}
     tasks_by_id = {t.id: t for t in instance.tasks}
     total_energy = schedule_energy(nodes_by_id, trace.segments)
-    done = sorted(tid for tid, st in trace.status.items()
-                  if st is not TaskStatus.FAILED and tid in trace.completion)
-    if done:
-        act = math.fsum(trace.completion[t] for t in done) / len(done)
-        awt = math.fsum(trace.waits[t] for t in done) / len(done)
+    first_start: dict[int, float] = {}
+    completion: dict[int, float] = {}
+    for e in trace.events:
+        if e.kind is _START:
+            first_start.setdefault(e.task_id, e.time)
+        elif e.kind is _COMPLETION:
+            completion[e.task_id] = e.time
+    n_done = len(completion)
+    if n_done:
+        act = math.fsum(completion.values()) / n_done
+        awt = math.fsum(first_start[t] - tasks_by_id[t].submit_time
+                        for t in completion) / n_done
+        makespan = max(completion.values()) - min(t.submit_time for t in instance.tasks)
     else:
         act = awt = None
-    makespan = 0.0
-    if done and instance.tasks:
-        makespan = max(trace.completion[t] for t in done) \
-            - min(t.submit_time for t in instance.tasks)
+        makespan = 0.0
     avg_power = total_energy / makespan if makespan > 0 else 0.0
-    missed = sum(1 for t in done if trace.completion[t] > tasks_by_id[t].deadline)
+    missed = sum(1 for t, c in completion.items() if c > tasks_by_id[t].deadline)
     n_total = len(instance.tasks)
-    n_failed = sum(1 for st in trace.status.values() if st is TaskStatus.FAILED)
-    reliability = 1.0 if n_total == 0 else (n_total - n_failed) / n_total
     return MetricsReport(
         total_energy=total_energy,
         avg_completion=act,
         avg_wait=awt,
         avg_power=avg_power,
-        cp=trace.cp,
-        cb=n_failed,
+        cp=schedule.cp,
+        cb=n_total - n_done,
         missed_deadlines=missed,
-        reliability_estimate=reliability,
+        reliability_estimate=n_done / n_total if n_total else 1.0,
     )
 
 
@@ -315,8 +309,12 @@ def check_capacity(trace: RunTrace, instance: Instance) -> list[str]:
 def audit(schedule: Schedule, trace: RunTrace, instance: Instance,
           report: MetricsReport) -> list[str]:
     """The invariants of a finished run: node capacity, no backup on its primary's
-    node, segment energies equal to total_energy, and one terminal status per
-    task. Returns violation descriptions naming the task or node (empty when clean)."""
+    node, segment energies equal to total_energy, a log in which no task starts
+    before its arrival and every backup dispatch follows a fault of its task, and
+    one terminal status per task that the log explains. Returns violation
+    descriptions naming the task or node (empty when clean). A segment on a node
+    the instance lacks is reported by the capacity rule and not priced, so it
+    cannot make the audit raise."""
     problems = check_capacity(trace, instance)
     primary_node = {e.task_id: e.node_id for e in schedule.entries
                     if e.phase is Phase.PRIMARY}
@@ -324,22 +322,35 @@ def audit(schedule: Schedule, trace: RunTrace, instance: Instance,
         if s.phase is _BACKUP and primary_node.get(s.task_id) == s.node_id:
             problems.append(f"backup of task {s.task_id} at t={s.start} "
                             f"on its primary's node {s.node_id}")
-    energy = schedule_energy({n.id: n for n in instance.nodes}, trace.segments)
+    nodes_by_id = {n.id: n for n in instance.nodes}
+    energy = schedule_energy(nodes_by_id, (s for s in trace.segments
+                                           if s.node_id in nodes_by_id))
     if energy != report.total_energy:
         problems.append(f"segment energies sum to {energy!r}, "
                         f"total_energy is {report.total_energy!r}")
 
     problems += [f"task {t.id} has no terminal status"
                  for t in instance.tasks if t.id not in trace.status]
-    done = Counter(e.task_id for e in trace.events if e.kind is _COMPLETION)
-    faults = Counter(f.task_id for f in trace.fault_events)
+    arrived: set[int] = set()
+    done: Counter[int] = Counter()
+    faults: Counter[int] = Counter()
+    for e in trace.events:
+        if e.kind is _ARRIVAL:
+            arrived.add(e.task_id)
+        elif e.kind is _START and e.task_id not in arrived:
+            problems.append(f"task {e.task_id} starts at t={e.time} before its arrival")
+        elif e.kind is _FAULT:
+            faults[e.task_id] += 1
+        elif e.kind is _COMPLETION:
+            done[e.task_id] += 1
+        elif e.kind is _DISPATCH and not faults[e.task_id]:
+            problems.append(f"backup dispatch of task {e.task_id} at t={e.time} "
+                            f"follows no fault")
     for tid, status in trace.status.items():
         # A failed task never completed; a completed one did once, and after
         # a fault only through its backup. A backup's fault ends the task.
-        n, when = done[tid], trace.completion.get(tid)
-        if (n, when is None) != ((0, True) if status is _FAILED else (1, False)):
-            problems.append(f"{status.value} task {tid} has {n} completion "
-                            f"event(s), completion time {when}")
+        if done[tid] != (0 if status is _FAILED else 1):
+            problems.append(f"{status.value} task {tid} has {done[tid]} completion event(s)")
         elif (faults[tid] > 2 if status is _FAILED
               else faults[tid] != (status is _VIA_BACKUP)):
             problems.append(f"{status.value} task {tid} faulted {faults[tid]} time(s)")

@@ -1,6 +1,7 @@
 import pytest
 
 from fogsched.model import DvfsConfig, FaultModel, FogNode, Task
+from fogsched.sim import EventKind
 
 
 def make_task(id=1, length=1000, deadline=2.0, submit_time=0.0, npe=1, **kw):
@@ -20,6 +21,19 @@ def make_node(id=1, mips=1000.0, npe_slots=1, v_max=1.2, f_max=1e9,
 def assignment_of(sched):
     """Each scheduled task's node: {task_id: node_id} over sched.entries."""
     return {e.task_id: e.node_id for e in sched.entries}
+
+
+def waits_and_completions(trace, instance):
+    """From trace.events: each started task's wait, from submission to its
+    first START, and each completed task's COMPLETION time."""
+    submit = {t.id: t.submit_time for t in instance.tasks}
+    waits, completions = {}, {}
+    for e in trace.events:
+        if e.kind is EventKind.START:
+            waits.setdefault(e.task_id, e.time - submit[e.task_id])
+        elif e.kind is EventKind.COMPLETION:
+            completions[e.task_id] = e.time
+    return waits, completions
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import make_node, make_task
+from conftest import make_node, make_task, waits_and_completions
 from fogsched import checks
 from fogsched.cli import ExperimentConfig, run_experiment
 from fogsched.gap import GapState, edf_sort, exec_time, gap_schedule, payoff
@@ -107,7 +107,7 @@ def test_c01_equation_unit_suite():
     from fogsched.model import Instance
     inst = Instance(q, [node], DvfsConfig((1.0,)), FaultModel(0.0, 3.0, 0.5))
     trace, rep = run(fcfs_schedule(q, [node]), inst, inst.fault_model, FaultSampler(1))
-    assert sorted(trace.waits.values()) == [0.0, 1.0, 2.0]
+    assert sorted(waits_and_completions(trace, inst)[0].values()) == [0.0, 1.0, 2.0]
     assert approx(rep.avg_completion, 2.0)
     assert approx(rep.avg_wait, 1.0)
 

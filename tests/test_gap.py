@@ -267,10 +267,10 @@ def test_wgap_energy_at_least_gap():
         < schedule_energy(nodes_by_id, w.entries)
 
 
-def _random_instance(rng, max_tasks=50, max_vms=8, slack=(1.2, 3.5)):
+def _random_instance(rng, max_tasks=50, max_vms=8):
     spec = WorkloadSpec(n_tasks=rng.randint(1, max_tasks),
                         n_vms=rng.randint(1, max_vms),
-                        slack_factor_range=slack,
+                        slack_factor_range=(1.2, 3.5),
                         submit_mode="uniform",
                         submit_horizon=rng.uniform(0.0, 6.0),
                         seed=rng.randrange(2**32))

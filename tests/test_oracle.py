@@ -3,10 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_node, make_task
+from conftest import make_node, make_task, waits_and_completions
+from fogsched.gap import gap_schedule
 from fogsched.model import DvfsConfig, FaultModel, Schedule, ScheduleEntry
 from fogsched.oracle import _level_rows, _place_candidate, exhaustive
+from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
 from fogsched.sim import TaskStatus, run
 from fogsched.workload import WorkloadSpec, generate
@@ -91,10 +95,36 @@ def test_best_schedule_replays_clean_in_simulator():
         trace, rep = run(sched, inst, fm, FaultSampler(i))
         deadlines = {t.id: t.deadline for t in inst.tasks}
         assert all(st is TaskStatus.COMPLETED for st in trace.status.values())
-        assert all(trace.completion[t.id] <= deadlines[t.id] for t in inst.tasks)
+        completions = waits_and_completions(trace, inst)[1]
+        assert all(completions[t.id] <= deadlines[t.id] for t in inst.tasks)
         assert rep.total_energy == pytest.approx(res.best_energy, rel=1e-9)
         checked += 1
     assert checked > 10
+
+
+@st.composite
+def small_instances(draw):
+    """Generated instances of at most 5 tasks on at most 3 nodes, with
+    multi-slot tasks, staggered arrivals and tight or loose deadlines."""
+    spec = WorkloadSpec(n_tasks=draw(st.integers(1, 5)), n_vms=draw(st.integers(1, 3)),
+                        npe_range=(1, draw(st.integers(1, 4))), submit_mode="uniform",
+                        submit_horizon=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                        slack_factor_range=(draw(st.sampled_from([1.05, 1.5])),
+                                            draw(st.sampled_from([1.6, 5.0]))),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    return generate(spec, dvfs=DvfsConfig((0.6, 0.8, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=small_instances())
+def test_oracle_bounds_gap_when_gap_admits_every_task(inst):
+    sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
+    if sched.failed or sched.cp:
+        return  # GAP dropped work; no energy bound applies
+    best = exhaustive(inst.tasks, inst.nodes, inst.dvfs)
+    assert best.feasible
+    energy = schedule_energy({n.id: n for n in inst.nodes}, sched.entries)
+    assert energy >= best.best_energy * (1 - 1e-9)
 
 
 def test_tie_break_is_lexicographic_smallest():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_node, make_task
+from conftest import make_node, make_task, waits_and_completions
 from fogsched.baselines import PsoConfig, fcfs_schedule, pso_schedule, rr_schedule
 from fogsched.cli import _SCHEDULERS, ALGORITHMS, ExperimentConfig
 from fogsched.gap import gap_schedule, wgap_schedule
@@ -36,7 +36,7 @@ def test_single_task_completion_matches_plan():
     sched = wgap_schedule([task], [node])
     trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(1))
     assert trace.status[1] is TaskStatus.COMPLETED
-    assert trace.completion[1] == pytest.approx(1.0, rel=REL)
+    assert waits_and_completions(trace, inst)[1][1] == pytest.approx(1.0, rel=REL)
     assert rep.avg_completion == pytest.approx(1.0, rel=REL)
     assert rep.avg_wait == 0.0
     assert rep.missed_deadlines == 0
@@ -62,8 +62,9 @@ def test_fault_free_run_reproduces_planned_completions():
     sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
     trace, _ = run(sched, inst, NO_FAULTS, FaultSampler(3))
     planned = {e.task_id: e.completion for e in sched.entries}
+    completions = waits_and_completions(trace, inst)[1]
     for tid, ct in planned.items():
-        assert trace.completion[tid] == ct  # bit-exact
+        assert completions[tid] == ct  # bit-exact
 
 
 def test_replay_is_byte_identical(tmp_path):
@@ -152,12 +153,13 @@ SIM_GOLDEN = [
 ]
 
 
-def _sim_key(trace, rep):
+def _sim_key(inst, trace, rep):
+    waits, completions = waits_and_completions(trace, inst)
     return ([(e.time, e.kind.value, e.task_id, e.node_id) for e in trace.events],
             sorted((t, s.value) for t, s in trace.status.items()),
             [(s.task_id, s.node_id, s.start, s.exec_time, s.completion, s.rho,
               s.phase.value) for s in trace.segments],
-            sorted(trace.waits.items()), sorted(trace.completion.items()),
+            sorted(waits.items()), sorted(completions.items()),
             [(f.task_id, f.node_id, f.elapsed) for f in trace.fault_events],
             dataclasses.astuple(rep))
 
@@ -166,7 +168,7 @@ def _sim_key(trace, rep):
                          ids=[case[0] for case in SIM_GOLDEN])
 def test_sim_matches_golden_digest(name, build, digest):
     inst, sched = build()
-    runs = [_sim_key(*run(sched, inst, inst.fault_model,
+    runs = [_sim_key(inst, *run(sched, inst, inst.fault_model,
                           FaultSampler(f"sim-golden/{name}"), detection))
             for detection in DETECTION_MODES]
     assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == digest
@@ -227,7 +229,7 @@ def test_three_serialized_tasks_wait_0_1_2():
     inst = simple_instance(tasks, [node])
     sched = fcfs_schedule(tasks, [node])
     trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(1))
-    assert sorted(trace.waits.values()) == [0.0, 1.0, 2.0]
+    assert sorted(waits_and_completions(trace, inst)[0].values()) == [0.0, 1.0, 2.0]
     assert rep.avg_wait == pytest.approx(1.0, rel=REL)
     assert rep.avg_completion == pytest.approx(2.0, rel=REL)
 
@@ -238,7 +240,7 @@ def test_averages_examples():
     inst = simple_instance(tasks, nodes)
     sched = fcfs_schedule(tasks, nodes)
     trace, _ = run(sched, inst, NO_FAULTS, FaultSampler(1))
-    rep = report(trace, inst)
+    rep = report(sched, trace, inst)
     assert rep.avg_completion == pytest.approx((1.0 + 2.0 + 3.0) / 3, rel=REL)
     assert rep.avg_wait == 0.0
 
@@ -247,7 +249,7 @@ def test_averages_absent_for_empty_trace():
     inst = simple_instance([], [make_node()])
     sched = Schedule()
     trace, rep = run(sched, inst, NO_FAULTS, FaultSampler(1))
-    assert report(trace, inst) == rep
+    assert report(sched, trace, inst) == rep
     assert rep.avg_completion is None and rep.avg_wait is None
     assert rep.total_energy == 0.0 and rep.avg_power == 0.0
     assert rep.reliability_estimate == 1.0
@@ -485,7 +487,9 @@ def test_run_invariants_on_generated_cells(cell):
 
 
 @pytest.mark.parametrize("doctor", ["backup-on-primary-node", "energy-one-ulp-off",
-                                    "completion-event-removed", "backup-status-unfaulted"])
+                                    "completion-event-removed", "backup-status-unfaulted",
+                                    "segment-on-unknown-node", "fault-events-removed",
+                                    "start-before-arrival"])
 def test_audit_names_a_doctored_run(doctor):
     inst = _storm_instance(0.5, 40, 1)
     sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
@@ -503,8 +507,24 @@ def test_audit_names_a_doctored_run(doctor):
     elif doctor == "completion-event-removed":
         trace.events = [e for e in trace.events
                         if (e.kind, e.task_id) != (EventKind.COMPLETION, tid)]
-        problem = f"completed task {tid} has 0 completion event(s), completion time"
-    else:
+        problem = f"completed task {tid} has 0 completion event(s)"
+    elif doctor == "backup-status-unfaulted":
         trace.status[tid] = TaskStatus.COMPLETED_VIA_BACKUP
         problem = f"completed_via_backup task {tid} faulted 0 time(s)"
+    elif doctor == "segment-on-unknown-node":
+        seg = trace.segments[0]
+        trace.segments[0] = dataclasses.replace(seg, node_id=99)
+        problem = f"task {seg.task_id} at t={seg.start} on unknown node 99"
+    elif doctor == "fault-events-removed":
+        trace.events = [e for e in trace.events if e.kind is not EventKind.FAULT]
+        d = next(e for e in trace.events if e.kind is EventKind.BACKUP_DISPATCH)
+        problem = f"backup dispatch of task {d.task_id} at t={d.time} follows no fault"
+    else:
+        arrival = next(e for e in trace.events
+                       if (e.kind, e.task_id) == (EventKind.ARRIVAL, tid))
+        start = next(e for e in trace.events
+                     if (e.kind, e.task_id) == (EventKind.START, tid))
+        trace.events.remove(arrival)
+        trace.events.append(arrival)
+        problem = f"task {tid} starts at t={start.time} before its arrival"
     assert any(problem in p for p in audit(sched, trace, inst, rep))
