@@ -24,23 +24,16 @@ INERTIA, COGNITIVE, SOCIAL = 0.7, 1.5, 1.5
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm parameters; penalty is joules charged per missed deadline.
-
-    penalty=None auto-scales to 10x the largest single-task full-power
-    energy of the instance so feasibility dominates energy.
-    """
+    """Swarm parameters."""
 
     swarm_size: int = 30
     iterations: int = 100
-    penalty: float | None = None
 
     def validate(self) -> None:
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.penalty is not None and self.penalty <= 0:
-            raise ValueError("penalty must be > 0")
 
 
 def _place(state: GapState, task: Task, node: FogNode, sched: Schedule) -> None:
@@ -143,9 +136,9 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     ext = lengths[:, None] / mips[None, :]
     energy = ext * powers[None, :]
 
-    penalty = cfg.penalty
-    if penalty is None:
-        penalty = 10.0 * float(energy.max())
+    # Joules per missed deadline: 10x the largest single-task full-speed
+    # energy of the instance, so feasibility dominates energy.
+    penalty = 10.0 * float(energy.max())
 
     # cand[t, c] is the node index of task t's c-th capable node.
     cand = np.zeros((dims, max(len(capable[i]) for i in placeable)), dtype=int)

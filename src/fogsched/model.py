@@ -9,6 +9,7 @@ malformed records can still be built, inspected, and reported on.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -137,15 +138,6 @@ class Schedule:
         return [e for e in self.entries if e.phase is Phase.PRIMARY]
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """A primary (or backup) execution that faulted after `elapsed` seconds."""
-
-    task_id: int
-    node_id: int
-    elapsed: float
-
-
 @dataclass
 class MetricsReport:
     """Aggregate metrics of one simulated run.
@@ -189,8 +181,21 @@ NPE_MAX = 8  # processor-element range is [1, 8] for both tasks and nodes
 def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
                    fault_model: FaultModel) -> list[str]:
     """Return every invariant violation as a "record[id].field: message"
-    string (empty when valid)."""
+    string (empty when valid).
+
+    Besides each field's range, the quantities every run derives must be
+    finite floats: each node's full-speed power, the longest task's run time
+    and energy on each node at every DVFS level, and the fault rate at the
+    lowest level.
+    """
+    from .power import active_power  # both import this module
+    from .reliability import fault_rate_freq
+
     out: list[str] = []
+    levels = dvfs.levels
+    levels_ok = bool(levels) and all(0.0 < r <= 1.0 for r in levels)
+    lowest = min(levels) if levels_ok else 1.0
+    longest = max((t.length for t in tasks), default=0)
     seen_task_ids: set[int] = set()
     for t in tasks:
         if t.id in seen_task_ids:
@@ -227,17 +232,32 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             out.append(f"node[{n.id}].load_cap: load_cap must be >= 0")
         if n.static_power < 0:
             out.append(f"node[{n.id}].static_power: static_power must be >= 0")
+        if n.v_max <= 0 or n.f_max <= 0:
+            continue
         # GAP normalizes each run's energy by the same run at full speed.
         full_power = n.activity * n.load_cap * n.v_max * n.v_max * n.f_max + n.static_power
-        if n.v_max > 0 and n.f_max > 0 and full_power == 0:
+        if full_power == 0:
             out.append(f"node[{n.id}].power: full-speed power must be > 0 "
                        "(activity and load_cap, or static_power)")
+        elif not math.isfinite(full_power):
+            out.append(f"node[{n.id}].power: full-speed power must be finite "
+                       "(activity * load_cap * v_max^2 * f_max + static_power)")
+        elif n.mips > 0 and levels_ok:
+            # The longest run time is at the lowest level; past that check
+            # no level's speed is zero.
+            speed = n.mips * lowest
+            if speed == 0 or not math.isfinite(longest / speed):
+                out.append(f"node[{n.id}].mips: the longest task's run time "
+                           f"(length / mips) at DVFS level {lowest} must be finite")
+            elif not all(math.isfinite(active_power(n, r) * (longest / (n.mips * r)))
+                         for r in levels):
+                out.append(f"node[{n.id}].power: the longest task's energy must "
+                           "be finite at every DVFS level")
 
-    levels = dvfs.levels
     if not levels:
         out.append("dvfs.levels: levels must be nonempty")
     else:
-        if any(not 0.0 < r <= 1.0 for r in levels):
+        if not levels_ok:
             out.append("dvfs.levels: every level must lie in (0, 1]")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             out.append("dvfs.levels: levels must be strictly increasing")
@@ -256,10 +276,22 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
 
     # Cross-check: the fault-rate model is only defined for normalized
     # frequencies >= f_min, so every DVFS level must clear it.
-    if levels and 0.0 < fm.f_min < 1.0 and all(0.0 < r <= 1.0 for r in levels):
+    if levels_ok and 0.0 < fm.f_min < 1.0:
         if levels[0] < fm.f_min:
             out.append("instance.dvfs.levels: "
                        "lowest DVFS level is below fault_model.f_min")
+        elif fm.lambda0 >= 0 and fm.d > 0:
+            # 10^(...) raises when it overflows; lambda0 times it turns inf.
+            try:
+                rate = fault_rate_freq(fm, levels[0])
+            except OverflowError:
+                out.append("fault_model.d: the fault rate's growth at the lowest DVFS "
+                           "level, 10^(d * (1 - level) / (1 - f_min)), must be finite")
+            else:
+                if not math.isfinite(rate):
+                    out.append("fault_model.lambda0: the fault rate at the lowest DVFS "
+                               "level, lambda0 * 10^(d * (1 - level) / (1 - f_min)), "
+                               "must be finite")
     return out
 
 

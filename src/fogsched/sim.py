@@ -17,12 +17,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 from . import gap
-from .model import (FaultEvent, FaultModel, Instance, MetricsReport, Phase,
-                    Schedule, ScheduleEntry)
+from .model import (FaultModel, Instance, MetricsReport, Phase, Schedule,
+                    ScheduleEntry)
 from .power import schedule_energy
 from .reliability import fault_probability, fault_rate_freq
 
@@ -65,29 +65,42 @@ class TaskStatus(str, Enum):
     FAILED = "failed"
 
 
-_COMPLETED, _VIA_BACKUP, _FAILED = (
-    TaskStatus.COMPLETED, TaskStatus.COMPLETED_VIA_BACKUP, TaskStatus.FAILED)
-
-
 @dataclass
 class RunTrace:
-    """The record of one run.
+    """The record of one run: the event log and the segments.
 
-    events is the ordered event log. status maps every task of the instance
-    to its terminal status, read from the log once the run ends: completed
-    via backup when it has a fault and a completion event, completed when it
-    has a completion alone, failed otherwise. fault_events holds each
-    fault's task, node and elapsed run time, in log order. segments holds the
-    realized execution windows (including the truncated window of a faulted
-    run) with exec_time equal to actual busy time, so re-summing their
-    energies reproduces the report total; a run that went as planned is its
-    schedule's own (frozen) entry.
+    events is the ordered event log. segments holds the realized execution
+    windows, one per COMPLETION or FAULT event and in that order; a faulted
+    run's window ends at the fault, so every exec_time is busy time and the
+    segments' energies sum to the report total. A run that went as planned
+    is its schedule's own (frozen) entry. status and fault_events are views
+    of the two, rebuilt from the whole log on each access: read each once.
     """
 
     events: list[Event] = field(default_factory=list)
-    status: dict[int, TaskStatus] = field(default_factory=dict)
-    fault_events: list[FaultEvent] = field(default_factory=list)
     segments: list[ScheduleEntry] = field(default_factory=list)
+
+    @property
+    def status(self) -> dict[int, TaskStatus]:
+        """Each arrived task's terminal status: completed via backup when it
+        has a fault and a completion event, completed when it has a
+        completion alone, failed otherwise."""
+        completed = {e.task_id for e in self.events if e.kind is _COMPLETION}
+        faulted = {e.task_id for e in self.events if e.kind is _FAULT}
+        return {e.task_id: TaskStatus.FAILED if e.task_id not in completed
+                else TaskStatus.COMPLETED_VIA_BACKUP if e.task_id in faulted
+                else TaskStatus.COMPLETED for e in self.events if e.kind is _ARRIVAL}
+
+    @property
+    def fault_events(self) -> list[ScheduleEntry]:
+        """The segment of each faulted run, in log order; its exec_time is
+        the run time until the fault."""
+        return [s for e, s in self._windows() if e and s and e.kind is _FAULT]
+
+    def _windows(self):
+        """(k-th COMPLETION or FAULT event, segments[k]) pairs, None where a side ends."""
+        return zip_longest((e for e in self.events
+                            if e.kind is _COMPLETION or e.kind is _FAULT), self.segments)
 
 
 def run(schedule: Schedule, instance: Instance, fm: FaultModel,
@@ -144,7 +157,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     new_event = tuple.__new__
     log = trace.events.append
     add_segment = trace.segments.append
-    add_fault = trace.fault_events.append
     occupy, release = state.occupy, state.release
     sample = sampler.sample
     map_backups = gap.map_backups  # looked up per run, so a wrapper applies
@@ -199,7 +211,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             entry, started, planned_completion, elapsed = payload
             node_id = entry.node_id
             log(new_event(Event, (now, _FAULT, tid, node_id)))
-            add_fault(FaultEvent(tid, node_id, elapsed))
             add_segment(ScheduleEntry(tid, node_id, started, elapsed, now,
                                       entry.rho, entry.phase))
             if immediate:
@@ -219,11 +230,6 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 heappush(heap, (backup.start, _R_START, tid, seq, (backup, True)))
                 seq += 1
 
-    completed = {e.task_id for e in trace.events if e.kind is _COMPLETION}
-    faulted = {e.task_id for e in trace.events if e.kind is _FAULT}
-    trace.status = {t.id: _FAILED if t.id not in completed
-                    else _VIA_BACKUP if t.id in faulted else _COMPLETED
-                    for t in instance.tasks}
     return trace, report(schedule, trace, instance)
 
 
@@ -309,51 +315,59 @@ def check_capacity(trace: RunTrace, instance: Instance) -> list[str]:
 def audit(schedule: Schedule, trace: RunTrace, instance: Instance,
           report: MetricsReport) -> list[str]:
     """The invariants of a finished run: node capacity, no backup on its primary's
-    node, segment energies equal to total_energy, a log in which no task starts
-    before its arrival and every backup dispatch follows a fault of its task, and
-    one terminal status per task that the log explains. Returns violation
-    descriptions naming the task or node (empty when clean). A segment on a node
-    the instance lacks is reported by the capacity rule and not priced, so it
-    cannot make the audit raise."""
+    node, every rho in (0, 1], segment energies equal to total_energy, and a log in
+    which every task arrives before it starts, every backup dispatch follows a fault
+    of its task, the segments are the windows of the completion and fault events in
+    order, and no task completes twice, completes after two faults or faults three
+    times. Returns violation descriptions naming the task or node (empty when
+    clean). A segment on an unknown node or at a bad rho is reported, not priced."""
     problems = check_capacity(trace, instance)
     primary_node = {e.task_id: e.node_id for e in schedule.entries
                     if e.phase is Phase.PRIMARY}
+    nodes_by_id = {n.id: n for n in instance.nodes}
+    priced = []
     for s in trace.segments:
         if s.phase is _BACKUP and primary_node.get(s.task_id) == s.node_id:
             problems.append(f"backup of task {s.task_id} at t={s.start} "
                             f"on its primary's node {s.node_id}")
-    nodes_by_id = {n.id: n for n in instance.nodes}
-    energy = schedule_energy(nodes_by_id, (s for s in trace.segments
-                                           if s.node_id in nodes_by_id))
+        if not 0.0 < s.rho <= 1.0:
+            problems.append(f"task {s.task_id} at t={s.start} runs at rho {s.rho!r} "
+                            "outside (0, 1]")
+        elif s.node_id in nodes_by_id:
+            priced.append(s)
+    energy = schedule_energy(nodes_by_id, priced)
     if energy != report.total_energy:
         problems.append(f"segment energies sum to {energy!r}, "
                         f"total_energy is {report.total_energy!r}")
 
-    problems += [f"task {t.id} has no terminal status"
-                 for t in instance.tasks if t.id not in trace.status]
     arrived: set[int] = set()
     done: Counter[int] = Counter()
     faults: Counter[int] = Counter()
     for e in trace.events:
+        tid = e.task_id
         if e.kind is _ARRIVAL:
-            arrived.add(e.task_id)
-        elif e.kind is _START and e.task_id not in arrived:
-            problems.append(f"task {e.task_id} starts at t={e.time} before its arrival")
-        elif e.kind is _FAULT:
-            faults[e.task_id] += 1
+            arrived.add(tid)
+        elif e.kind is _START and tid not in arrived:
+            problems.append(f"task {tid} starts at t={e.time} before its arrival")
+        elif e.kind is _DISPATCH and not faults[tid]:
+            problems.append(f"backup dispatch of task {tid} at t={e.time} follows no fault")
         elif e.kind is _COMPLETION:
-            done[e.task_id] += 1
-        elif e.kind is _DISPATCH and not faults[e.task_id]:
-            problems.append(f"backup dispatch of task {e.task_id} at t={e.time} "
-                            f"follows no fault")
-    for tid, status in trace.status.items():
-        # A failed task never completed; a completed one did once, and after
-        # a fault only through its backup. A backup's fault ends the task.
-        if done[tid] != (0 if status is _FAILED else 1):
-            problems.append(f"{status.value} task {tid} has {done[tid]} completion event(s)")
-        elif (faults[tid] > 2 if status is _FAILED
-              else faults[tid] != (status is _VIA_BACKUP)):
-            problems.append(f"{status.value} task {tid} faulted {faults[tid]} time(s)")
+            # A backup's fault ends the task: it completes at most once, and
+            # only with at most one fault before.
+            if done[tid] or faults[tid] > 1:
+                problems.append(f"task {tid} completes at t={e.time} after "
+                                f"{done[tid]} completion(s) and {faults[tid]} fault(s)")
+            done[tid] += 1
+        elif e.kind is _FAULT:
+            faults[tid] += 1
+    problems += [f"task {t.id} never arrives" for t in instance.tasks if t.id not in arrived]
+    problems += [f"task {tid} faulted {n} times" for tid, n in faults.items() if n > 2]
+    for k, (e, s) in enumerate(trace._windows()):
+        if e is None or s is None or (e.task_id, e.node_id, e.time) != (
+                s.task_id, s.node_id, s.completion):
+            problems.append(f"segment {k} is not the window of the log's completion "
+                            f"or fault event {k}: {s} against {e}")
+            break  # every later pair is shifted too
     return problems
 
 

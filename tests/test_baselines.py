@@ -158,8 +158,6 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=1).validate()
     with pytest.raises(ValueError):
         PsoConfig(iterations=0).validate()
-    with pytest.raises(ValueError):
-        PsoConfig(penalty=-1.0).validate()
 
 
 def test_baselines_deterministic():
@@ -205,9 +203,6 @@ PSO_GOLDEN = [
     ("default-config", lambda: _generated(n_tasks=40, n_vms=5, seed=7,
                                           submit_mode="uniform", submit_horizon=0.5),
      PsoConfig(), 8, "dcc688f4b3eccbc0"),
-    ("fixed-penalty", lambda: _generated(n_tasks=30, n_vms=2, seed=9,
-                                         slack_factor_range=(1.05, 1.2)),
-     PsoConfig(swarm_size=5, iterations=8, penalty=0.5), 9, "130462665e25654a"),
     ("sum-order", lambda: _generated(n_tasks=8, n_vms=2, seed=8),
      PsoConfig(swarm_size=10, iterations=20), 2, "7e0b25fe99e7bf8a"),
     ("deadline-met-exactly",

@@ -1,20 +1,27 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
+import os
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node, make_task
 from fogsched import checks, cli, sim
 from fogsched.baselines import PsoConfig
-from fogsched.cli import (ALGORITHMS, CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO,
+from fogsched.cli import (ALGORITHMS, CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_USAGE, ExperimentConfig, load_config, main,
                           run_experiment)
 from fogsched.model import (DvfsConfig, FaultModel, dumps_instance,
                             save_instance, validate_instance)
-from fogsched.workload import WorkloadSpec
+from fogsched.workload import WorkloadSpec, generate
 
 
 def small_cfg(out, **kw):
@@ -270,6 +277,46 @@ def test_zero_power_node_instance_is_invariant_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _dumped_instance_doc(n_tasks=3, n_vms=1, lambda0=1e-6):
+    fm = FaultModel(lambda0=lambda0, d=3.0, f_min=0.5)
+    return json.loads(dumps_instance(generate(
+        WorkloadSpec(n_tasks=n_tasks, n_vms=n_vms, npe_range=(1, 4), submit_mode="uniform",
+                     submit_horizon=0.5, seed=5), fault_model=fm)))
+
+
+@pytest.mark.parametrize("key,value,lambda0,needle", [
+    ("mips", 1e-310, 0.0, "node[1].mips"),  # was a nan-probability traceback
+    ("mips", 1e-310, 1e-6, "node[1].mips"),  # ran with inf energy
+    ("v_max", 1e200, 1e-6, "v_max"),  # ran with inf energy and power
+])
+def test_node_values_that_overflow_a_run_are_invariant_errors(tmp_path, capsys, key,
+                                                              value, lambda0, needle):
+    doc = _dumped_instance_doc(lambda0=lambda0)
+    doc["nodes"][0][key] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--instance", str(path), "--algorithms", "fcfs",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVARIANT
+    assert err.startswith("fogsched: invalid instance:") and needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fault_rate_that_overflows_is_invariant_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "fault_model": {"lambda0": 1e-6, "d": 400, "f_min": 0.5}, "algorithms": ["gap"],
+        "workload": {"n_tasks": 5, "n_vms": 3, "slack_factor_range": [4.0, 6.0]}}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVARIANT
+    assert err.startswith("fogsched: invalid config:") and "fault_model.d" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("tasks", "role", "bogus"),
     ("tasks", "length", "1000"),
@@ -401,8 +448,8 @@ def test_readme_example_config_parses(tmp_path):
     ({"pso": {"inertia": 0.5}}, "inertia"),
     ({"pso": {"cognitive": 2.0}}, "cognitive"),
     ({"pso": {"social": 2.0}}, "social"),
+    ({"pso": {"penalty": 0.5}}, "penalty"),
     # Non-finite numbers, which json reads from NaN, Infinity and 1e400.
-    ({"pso": {"penalty": float("nan")}}, "pso.penalty must be a finite number"),
     ({"workload": {"slack_factor_range": [float("nan"), 2]}}, "slack_factor_range[0]"),
     ({"fault_model": {"lambda0": float("nan"), "d": 3.0, "f_min": 0.5}}, "lambda0"),
     ({"fault_model": {"lambda0": 1e-6, "d": float("inf"), "f_min": 0.5}}, "fault_model.d"),
@@ -484,3 +531,103 @@ def test_verify_reports_failing_and_crashing_checks(monkeypatch, capsys):
     assert "0/2 checks passed" in out
     lines = out.splitlines()[:2]
     assert all(re.fullmatch(r"FAIL .+  \(\d+\.\d\d s\)", line) for line in lines)
+
+
+# Values that replace one node of an input document. A "raw:" string is
+# written into the JSON text as it stands: json.dumps cannot write 1e400 or
+# a 5000-digit literal. New values are appended, so the cases of earlier
+# ones keep their numbers. No value is a valid large int, so a size key
+# (n_tasks, n_vms, seeds, swarm_size, iterations) never asks for a big job.
+PALETTE = [float("nan"), float("inf"), float("-inf"), "raw:1e400", 10**400,
+           "raw:" + "9" * 5000, -1, 0, True, "a string", None, [], {}, 1e-310, 1e200]
+
+
+def _nodes(doc, path=()):
+    """The path of every key and list item under doc, parents first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def one_edit(draw, doc):
+    """doc as JSON text with one node replaced by a palette value, one key
+    deleted, or an unknown key added."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_nodes(doc))
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        *parent, key = draw(st.sampled_from(paths))
+        _at(doc, parent)[key] = json.loads(json.dumps(draw(st.sampled_from(PALETTE))))
+    elif action == "delete":
+        *parent, key = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(doc, parent)[key]
+    else:
+        dicts = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
+        _at(doc, draw(st.sampled_from(dicts)))["no_such_key"] = 1
+    text = json.dumps(doc)
+    for raw in (v for v in PALETTE if isinstance(v, str) and v.startswith("raw:")):
+        text = text.replace(json.dumps(raw), raw[4:])
+    return text
+
+
+SMALL_SWARM = {"pso": {"swarm_size": 4, "iterations": 3}}
+EDITED_CONFIG = {
+    "algorithms": list(ALGORITHMS), "instance": None, "sweep": None, "seeds": 1,
+    "workload": {"n_tasks": 5, "n_vms": 3, "npe_range": [1, 4],
+                 "slack_factor_range": [1.5, 4.0], "submit_mode": "uniform",
+                 "submit_horizon": 0.5},
+    "fault_model": {"lambda0": 0.5, "d": 3.0, "f_min": 0.5, "d_volt": None},
+    "dvfs": {"levels": [0.6, 0.8, 1.0]}, "master_seed": 0, "output_dir": "out",
+    "emit": ["csv", "svg", "trace"], "dump_instance": False, **SMALL_SWARM}
+
+
+def _assert_main_exits_cleanly(inputs, argv):
+    """main(argv), run in a fresh empty directory, returns 0-3 and does not
+    raise. An error says so on stderr and leaves the directory empty; a
+    success writes only finite or empty numbers to results.csv."""
+    work = inputs / "work"
+    work.mkdir()
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_IO), err.getvalue()
+    if code != EXIT_OK:
+        assert err.getvalue().startswith("fogsched:"), err.getvalue()
+        assert list(work.iterdir()) == [], err.getvalue()
+    for path in work.rglob("results.csv"):
+        for row in csv.DictReader(path.read_text(encoding="utf-8").splitlines()):
+            assert all(row[c] == "" or math.isfinite(float(row[c]))
+                       for c in CSV_COLUMNS[2:]), row
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=one_edit(_dumped_instance_doc(n_tasks=5, n_vms=3, lambda0=0.5)))
+def test_no_instance_file_ends_in_a_traceback(tmp_path_factory, text):
+    inputs = tmp_path_factory.mktemp("instance")
+    (inputs / "inst.json").write_text(text)
+    (inputs / "swarm.json").write_text(json.dumps(SMALL_SWARM))
+    _assert_main_exits_cleanly(inputs, [
+        "run", "--instance", str(inputs / "inst.json"), "--config",
+        str(inputs / "swarm.json"), "--emit", "csv,svg,trace", "--out", "out"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=one_edit(EDITED_CONFIG))
+def test_no_config_ends_in_a_traceback(tmp_path_factory, text):
+    inputs = tmp_path_factory.mktemp("config")
+    (inputs / "exp.json").write_text(text)
+    _assert_main_exits_cleanly(inputs, ["run", "--config", str(inputs / "exp.json")])

@@ -71,6 +71,10 @@ SINGLE_BREAKS = [
     lambda t, n, d, f: (t, n, DvfsConfig((0.6, 1.0, 1.2)), f),
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], activity=0.0)], d, f),
     lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], npe_slots=9)], d, f),
+    # Finite values whose derived quantities overflow.
+    lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], v_max=1e200)], d, f),
+    lambda t, n, d, f: (t, n[:1] + [dataclasses.replace(n[1], mips=1e-310)], d, f),
+    lambda t, n, d, f: (t, n, d, FaultModel(1e-6, 400.0, 0.5)),
 ]
 
 
@@ -78,6 +82,28 @@ SINGLE_BREAKS = [
 def test_single_broken_invariant_yields_single_error(mutate):
     errors = check_instance(*mutate(*small_instance()))
     assert len(errors) == 1, errors
+
+
+@pytest.mark.parametrize("node_kw,fm_kw,problem", [
+    ({"v_max": 1e200}, {}, "node[1].power: full-speed power must be finite"),
+    ({"mips": 1e-310}, {}, "node[1].mips: the longest task's run time (length / mips) "
+                           "at DVFS level 0.6 must be finite"),
+    ({"mips": 1e-6, "static_power": 1e300}, {},
+     "node[1].power: the longest task's energy must be finite at every DVFS level"),
+    ({}, {"d": 400.0}, "fault_model.d: the fault rate's growth at the lowest DVFS level"),
+    ({}, {"lambda0": 1e307, "d": 30.0}, "fault_model.lambda0: the fault rate"),  # inf, no raise
+])
+def test_derived_quantities_that_overflow_are_named(node_kw, fm_kw, problem):
+    tasks, _, dvfs, fm = small_instance()
+    errors = check_instance(tasks, [make_node(**node_kw)], dvfs,
+                            dataclasses.replace(fm, **fm_kw))
+    assert len(errors) == 1 and errors[0].startswith(problem), errors
+
+
+def test_derived_quantities_just_inside_the_float_range_pass():
+    tasks, _, dvfs, fm = small_instance()  # longest task 1500 MI, lowest level 0.6
+    slow = make_node(mips=1e-300)  # runs 2.5e303 s at 1.44 W at most
+    assert check_instance(tasks, [slow], dvfs, dataclasses.replace(fm, d=200.0)) == []
 
 
 def test_duplicate_ids_flagged():

@@ -160,7 +160,7 @@ def _sim_key(inst, trace, rep):
             [(s.task_id, s.node_id, s.start, s.exec_time, s.completion, s.rho,
               s.phase.value) for s in trace.segments],
             sorted(waits.items()), sorted(completions.items()),
-            [(f.task_id, f.node_id, f.elapsed) for f in trace.fault_events],
+            [(f.task_id, f.node_id, f.exec_time) for f in trace.fault_events],
             dataclasses.astuple(rep))
 
 
@@ -191,8 +191,9 @@ def test_sim_golden_cases_slip_starts_and_fault_backups():
             slipped += sum(1 for t, s in first.items() if s > planned[t])
             # A runtime backup that faulted leaves a backup segment on a
             # failed task.
+            status = trace.status
             faulted_backups += sum(1 for s in trace.segments if s.phase is Phase.BACKUP
-                                   and trace.status[s.task_id] is TaskStatus.FAILED)
+                                   and status[s.task_id] is TaskStatus.FAILED)
     assert slipped > 0 and faulted_backups > 0
 
 
@@ -487,9 +488,10 @@ def test_run_invariants_on_generated_cells(cell):
 
 
 @pytest.mark.parametrize("doctor", ["backup-on-primary-node", "energy-one-ulp-off",
-                                    "completion-event-removed", "backup-status-unfaulted",
-                                    "segment-on-unknown-node", "fault-events-removed",
-                                    "start-before-arrival"])
+                                    "completion-event-removed", "segment-on-unknown-node",
+                                    "fault-events-removed", "start-before-arrival",
+                                    "rho-out-of-range", "arrival-removed",
+                                    "completion-repeated", "third-fault"])
 def test_audit_names_a_doctored_run(doctor):
     inst = _storm_instance(0.5, 40, 1)
     sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
@@ -507,10 +509,9 @@ def test_audit_names_a_doctored_run(doctor):
     elif doctor == "completion-event-removed":
         trace.events = [e for e in trace.events
                         if (e.kind, e.task_id) != (EventKind.COMPLETION, tid)]
-        problem = f"completed task {tid} has 0 completion event(s)"
-    elif doctor == "backup-status-unfaulted":
-        trace.status[tid] = TaskStatus.COMPLETED_VIA_BACKUP
-        problem = f"completed_via_backup task {tid} faulted 0 time(s)"
+        k = next(k for k, s in enumerate(trace.segments) if s.task_id == tid)
+        problem = (f"segment {k} is not the window of the log's completion or fault "
+                   f"event {k}: {trace.segments[k]}")
     elif doctor == "segment-on-unknown-node":
         seg = trace.segments[0]
         trace.segments[0] = dataclasses.replace(seg, node_id=99)
@@ -519,6 +520,23 @@ def test_audit_names_a_doctored_run(doctor):
         trace.events = [e for e in trace.events if e.kind is not EventKind.FAULT]
         d = next(e for e in trace.events if e.kind is EventKind.BACKUP_DISPATCH)
         problem = f"backup dispatch of task {d.task_id} at t={d.time} follows no fault"
+    elif doctor == "rho-out-of-range":
+        seg = trace.segments[0]
+        trace.segments[0] = dataclasses.replace(seg, rho=0.0)
+        problem = f"task {seg.task_id} at t={seg.start} runs at rho 0.0 outside (0, 1]"
+    elif doctor == "arrival-removed":
+        trace.events = [e for e in trace.events
+                        if (e.kind, e.task_id) != (EventKind.ARRIVAL, tid)]
+        problem = f"task {tid} never arrives"
+    elif doctor == "completion-repeated":
+        done = next(e for e in trace.events
+                    if (e.kind, e.task_id) == (EventKind.COMPLETION, tid))
+        trace.events.append(done)
+        problem = f"task {tid} completes at t={done.time} after 1 completion(s) and 0 fault(s)"
+    elif doctor == "third-fault":
+        fault = next(e for e in trace.events if e.kind is EventKind.FAULT)
+        trace.events += [fault, fault]
+        problem = f"task {fault.task_id} faulted 3 times"
     else:
         arrival = next(e for e in trace.events
                        if (e.kind, e.task_id) == (EventKind.ARRIVAL, tid))
