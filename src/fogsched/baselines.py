@@ -150,24 +150,25 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     for j in range(m):
         fresh[j, : int(slots[j])] = 0.0
 
-    def fitness(pos: np.ndarray) -> np.ndarray:
-        """Vectorized over the swarm: decode every particle by clamped
-        rounding, place it, and return its energy plus penalty per missed
-        deadline.
+    def decode(pos: np.ndarray) -> np.ndarray:
+        """Node index of each task under clamped rounding of pos."""
+        return cand[tix, np.clip(np.rint(pos), 0.0, hi).astype(int)]
+
+    def fitness(node: np.ndarray) -> np.ndarray:
+        """Vectorized over decoded particles, one row of node indices each:
+        place every row and return its energy plus penalty per missed
+        deadline. A row's score depends on that row alone.
 
         Lanes are one flat (particles * m, max_slots) array, row
         particle * m + node, each row kept ascending so the k-th free slot
         is column k - 1. Equal lane values are interchangeable, so every
         completion time has the bits of a plain k-smallest update.
         """
-        s = pos.shape[0]
-        node = cand[tix, np.clip(np.rint(pos), 0.0, hi[None, :]).astype(int)]
+        s = node.shape[0]
         # cumsum adds in task order; np.sum's pairwise order changes bits.
         total = np.cumsum(energy[tix, node], axis=1)[:, -1]
         ext_of = ext[tix, node].T.copy()
-        node += m * np.arange(s)[:, None]
-        lane_of = node.T.copy()
-        del node
+        lane_of = (node + m * np.arange(s)[:, None]).T.copy()
         # Not np.tile: it keeps ~120 KB more memory resident after a few
         # hundred calls.
         lanes = np.repeat(fresh[None], s, axis=0).reshape(s * m, max_slots)
@@ -185,31 +186,42 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
         misses = (ct > deadlines[:, None]).sum(axis=0)
         return total + penalty * misses
 
-    rng = np.random.default_rng(seed)
-    pos = rng.random((cfg.swarm_size, dims)) * hi[None, :]
-    vel = np.zeros_like(pos)
-    pbest = pos.copy()
-    pbest_fit = fitness(pos)
-    g = int(np.argmin(pbest_fit))
-    gbest = pbest[g].copy()
-    gbest_fit = float(pbest_fit[g])
-    for _ in range(cfg.iterations):
-        r1 = rng.random(pos.shape)
-        r2 = rng.random(pos.shape)
-        vel = INERTIA * vel + COGNITIVE * r1 * (pbest - pos) \
-            + SOCIAL * r2 * (gbest[None, :] - pos)
-        pos = np.clip(pos + vel, 0.0, hi[None, :])
-        fit = fitness(pos)
-        improved = fit < pbest_fit
-        pbest[improved] = pos[improved]
-        pbest_fit = np.where(improved, fit, pbest_fit)
+    # With one capable node per task every particle decodes to the same
+    # mapping, so the swarm has nothing to search.
+    chosen = cand[:, 0]
+    if hi.any():
+        rng = np.random.default_rng(seed)
+        pos = rng.random((cfg.swarm_size, dims)) * hi[None, :]
+        vel = np.zeros_like(pos)
+        dec = decode(pos)
+        pbest = pos.copy()
+        pbest_fit = fitness(dec)
+        fit = pbest_fit.copy()
         g = int(np.argmin(pbest_fit))
-        if float(pbest_fit[g]) < gbest_fit:
-            gbest = pbest[g].copy()
-            gbest_fit = float(pbest_fit[g])
+        gbest = pbest[g].copy()
+        gbest_fit = float(pbest_fit[g])
+        for _ in range(cfg.iterations):
+            r1 = rng.random(pos.shape)
+            r2 = rng.random(pos.shape)
+            vel = INERTIA * vel + COGNITIVE * r1 * (pbest - pos) \
+                + SOCIAL * r2 * (gbest[None, :] - pos)
+            pos = np.clip(pos + vel, 0.0, hi[None, :])
+            # A particle whose decode did not change keeps its score.
+            new = decode(pos)
+            moved = (new != dec).any(axis=1)
+            if moved.any():
+                fit[moved] = fitness(new[moved])
+            dec = new
+            improved = fit < pbest_fit
+            pbest[improved] = pos[improved]
+            pbest_fit = np.where(improved, fit, pbest_fit)
+            g = int(np.argmin(pbest_fit))
+            if float(pbest_fit[g]) < gbest_fit:
+                gbest = pbest[g].copy()
+                gbest_fit = float(pbest_fit[g])
+        chosen = decode(gbest)
 
-    chosen = np.clip(np.rint(gbest), 0.0, hi).astype(int)
     state = GapState.fresh(nodes)
     for t, i in enumerate(placeable):
-        _place(state, order[i], by_id[int(cand[t, chosen[t]])], sched)
+        _place(state, order[i], by_id[int(chosen[t])], sched)
     return sched

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -27,7 +26,7 @@ from typing import Iterator
 
 from . import baselines, charts, checks, gap, sim
 from .model import (DvfsConfig, FaultModel, Instance, InvalidInstanceError,
-                    RecordError, load_instance, record_from_dict,
+                    RecordError, load_instance, read_json, record_from_dict,
                     save_instance, validate_instance)
 from .reliability import FaultSampler
 from .workload import (DEFAULT_DVFS, DEFAULT_FAULT_MODEL, WorkloadSpec,
@@ -276,8 +275,7 @@ def load_config(flags: dict) -> ExperimentConfig:
     --vms into its workload block), parse and validate the result."""
     doc = {}
     if "config" in flags:
-        with open(flags.pop("config"), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(flags.pop("config"))
     workload = {k: flags.pop(k) for k in ("n_tasks", "n_vms") if k in flags}
     doc = {**doc, **flags}
     if workload:

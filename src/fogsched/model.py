@@ -185,8 +185,9 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
 
     Besides each field's range, the quantities every run derives must be
     finite floats: each node's full-speed power, the longest task's run time
-    and energy on each node at every DVFS level, and the fault rate at the
-    lowest level.
+    and energy on each node at every DVFS level, the energy of every task
+    run twice (a primary and a backup) on each node at every level, which
+    bounds any run's total, and the fault rate at the lowest level.
     """
     from .power import active_power  # both import this module
     from .reliability import fault_rate_freq
@@ -196,6 +197,8 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
     levels_ok = bool(levels) and all(0.0 < r <= 1.0 for r in levels)
     lowest = min(levels) if levels_ok else 1.0
     longest = max((t.length for t in tasks), default=0)
+    # A float sum: an int sum past the float range would raise, not be inf.
+    twice = 2.0 * sum(float(t.length) for t in tasks)
     seen_task_ids: set[int] = set()
     for t in tasks:
         if t.id in seen_task_ids:
@@ -253,6 +256,10 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
                          for r in levels):
                 out.append(f"node[{n.id}].power: the longest task's energy must "
                            "be finite at every DVFS level")
+            elif not all(math.isfinite(active_power(n, r) * (twice / (n.mips * r)))
+                         for r in levels):
+                out.append(f"node[{n.id}].power: the energy of every task run twice "
+                           "must be finite at every DVFS level")
 
     if not levels:
         out.append("dvfs.levels: levels must be nonempty")
@@ -393,12 +400,19 @@ def save_instance(inst: Instance, path: str) -> None:
         fh.write(dumps_instance(inst))
 
 
-def load_instance(path: str) -> Instance:
-    """Read an instance file; text that is not JSON, or an integer literal
-    past Python's digit limit, raises RecordError naming the file."""
+def read_json(path: str):
+    """Parse a JSON file; text that is not JSON, or an integer literal past
+    Python's digit limit, raises RecordError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:
-            raise RecordError(f"{path}: {exc}") from None
-    return instance_from_dict(doc)
+            # The digit-limit message ends in advice for programmers to call
+            # sys.set_int_max_str_digits(); a user cannot act on it.
+            raise RecordError(f"{path}: {str(exc).partition('; use sys.')[0]}") from None
+
+
+def load_instance(path: str) -> Instance:
+    """Read an instance file: read_json, then the strict parser and
+    check_instance."""
+    return instance_from_dict(read_json(path))

@@ -179,6 +179,19 @@ def _mixed_capacity_tasks_nodes():
     return tasks, nodes
 
 
+def _partly_single_node_tasks_nodes():
+    """Nodes of 1, 2 and 1 slots: every npe-2 task fits node 2 only, and
+    every npe-1 task fits all three."""
+    nodes = [make_node(id=1, mips=1200.0, npe_slots=1),
+             make_node(id=2, mips=1600.0, npe_slots=2),
+             make_node(id=3, mips=900.0, npe_slots=1)]
+    npes = [1, 2, 1, 1, 2, 1, 2, 1, 1, 1]
+    tasks = [make_task(id=i + 1, length=800 + 131 * i, npe=npe,
+                       submit_time=0.04 * (i % 3), deadline=0.9 + 0.25 * i)
+             for i, npe in enumerate(npes)]
+    return tasks, nodes
+
+
 def _generated(**kw):
     inst = generate(WorkloadSpec(**kw))
     return inst.tasks, inst.nodes
@@ -212,6 +225,13 @@ PSO_GOLDEN = [
     ("8-vms-uniform", lambda: _generated(n_tasks=25, n_vms=8, seed=10,
                                          submit_mode="uniform", submit_horizon=0.3),
      PsoConfig(swarm_size=12, iterations=20), 11, "b151d3663e77289a"),
+    ("default-one-vm", lambda: _generated(n_tasks=8, n_vms=1, seed=13),
+     PsoConfig(), 9, "f7907c4da3f83a66"),
+    ("default-two-vms", lambda: _generated(n_tasks=12, n_vms=2, seed=14,
+                                           submit_mode="uniform", submit_horizon=0.3),
+     PsoConfig(), 10, "2f240b37452388ad"),
+    ("partly-single-node", _partly_single_node_tasks_nodes,
+     PsoConfig(swarm_size=8, iterations=25), 13, "e5b7102d3a7ea063"),
 ]
 
 
@@ -253,3 +273,13 @@ def test_pso_places_each_task_once_within_node_capacity(inst, swarm, seed):
     assert sorted(placed + sched.failed) == sorted(t.id for t in inst.tasks)
     trace, rep = sim.run(sched, inst, inst.fault_model, FaultSampler(seed))
     assert sim.audit(sched, trace, inst, rep) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(), seed=st.integers(0, 2**32 - 1))
+def test_pso_on_one_node_is_fcfs(inst, seed):
+    """One node leaves each task one mapping, so PSO places as FCFS does."""
+    nodes = inst.nodes[:1]
+    pso = pso_schedule(inst.tasks, nodes, PsoConfig(swarm_size=3, iterations=4), seed=seed)
+    fcfs = fcfs_schedule(inst.tasks, nodes)
+    assert (pso.entries, pso.failed) == (fcfs.entries, fcfs.failed)

@@ -288,6 +288,8 @@ def _dumped_instance_doc(n_tasks=3, n_vms=1, lambda0=1e-6):
     ("mips", 1e-310, 0.0, "node[1].mips"),  # was a nan-probability traceback
     ("mips", 1e-310, 1e-6, "node[1].mips"),  # ran with inf energy
     ("v_max", 1e200, 1e-6, "v_max"),  # ran with inf energy and power
+    # Each task's energy is finite, their sum is not: fsum raised in the report.
+    ("mips", 3.3e-305, 1e-6, "node[1].power: the energy of every task run twice"),
 ])
 def test_node_values_that_overflow_a_run_are_invariant_errors(tmp_path, capsys, key,
                                                               value, lambda0, needle):
@@ -366,7 +368,7 @@ def test_integer_literal_past_the_digit_limit_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_IO
     assert err.startswith("fogsched: I/O failure:") and str(path) in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -481,6 +483,17 @@ def test_unreadable_config_is_io_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_IO
     assert capsys.readouterr().err.startswith("fogsched: cannot read config:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_integer_literal_past_the_digit_limit_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text('{"seeds": ' + "9" * 5000 + "}")
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"fogsched: bad config: {cfg_path}: ")
+    assert "set_int_max_str_digits" not in err
     assert not (tmp_path / "o").exists()
 
 
