@@ -1,10 +1,11 @@
 """Reference schedulers: FCFS, SJF, RR, and a particle-swarm mapper.
 
-All baselines run at full speed, emit exactly one primary entry per task,
-and do no deadline admission; missed deadlines surface in the metrics
-instead of being prevented. They share the per-processor-element slot model
-of the main scheduler: a task needing k elements starts at the k-th
-earliest slot time of its node.
+A baseline is an order and a node choice. One list-scheduling loop takes
+the tasks in the baseline's order and starts each on its chosen node at full
+speed, at the later of its submit time and the node's k-th earliest slot
+time for a task needing k elements (the main scheduler's slot model). A task
+with no node fails. Baselines do no deadline admission; missed deadlines
+surface in the metrics instead of being prevented.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import GapState
-from .model import FogNode, Phase, Schedule, ScheduleEntry, Task
+from .gap import GapState, exec_time
+from .model import FogNode, Schedule, ScheduleEntry, Task
 from .power import active_power
 
 # Particle-swarm velocity update: the inertia weight of Shi & Eberhart
@@ -36,67 +37,67 @@ class PsoConfig:
             raise ValueError("iterations must be >= 1")
 
 
-def _place(state: GapState, task: Task, node: FogNode, sched: Schedule) -> None:
-    avail = state.node_free[node.id][task.npe - 1]
-    start = avail if avail > task.submit_time else task.submit_time
-    ext = task.length / node.mips
-    entry = ScheduleEntry.make(task.id, node.id, start, ext, 1.0, Phase.PRIMARY)
-    sched.entries.append(entry)
-    state.occupy(node.id, task.npe, entry.completion)
-
-
-def _list_schedule(ordered: list[Task], nodes: list[FogNode]) -> Schedule:
-    """Greedy placement on the earliest-available capable node (tie: lower id)."""
-    sched = Schedule(selected_rho=1.0)
+def _list_schedule(ordered: list[Task], nodes: list[FogNode], pick) -> Schedule:
+    """Place each task of `ordered` on pick(i, task, by_id, lanes): a node
+    with the slots for it, or None to fail it. by_id is `nodes` by id, and
+    lanes maps a node id to its ascending slot times."""
+    sched = Schedule()
     by_id = sorted(nodes, key=lambda n: n.id)
     state = GapState.fresh(nodes)
-    for task in ordered:
-        best = None  # (start, node)
-        for node in by_id:
-            if task.npe > node.npe_slots:
-                continue
-            avail = state.node_free[node.id][task.npe - 1]
-            start = avail if avail > task.submit_time else task.submit_time
-            if best is None or start < best[0]:
-                best = (start, node)
-        if best is None:
+    lanes = state.node_free
+    for i, task in enumerate(ordered):
+        node = pick(i, task, by_id, lanes)
+        if node is None:
             sched.failed.append(task.id)
             continue
-        _place(state, task, best[1], sched)
+        avail = lanes[node.id][task.npe - 1]
+        start = avail if avail > task.submit_time else task.submit_time
+        entry = ScheduleEntry.make(task.id, node.id, start, exec_time(task, node, 1.0), 1.0)
+        sched.entries.append(entry)
+        state.occupy(node.id, task.npe, entry.completion)
     return sched
+
+
+def _earliest(i: int, task: Task, by_id: list[FogNode], lanes) -> FogNode | None:
+    """The capable node where the task can start first (tie: lower id)."""
+    npe, submit = task.npe, task.submit_time
+    best = None  # (start, node)
+    for node in by_id:
+        if npe > node.npe_slots:
+            continue
+        avail = lanes[node.id][npe - 1]
+        start = avail if avail > submit else submit
+        if best is None or start < best[0]:
+            best = (start, node)
+    return None if best is None else best[1]
+
+
+def _rotation(i: int, task: Task, by_id: list[FogNode], lanes) -> FogNode | None:
+    """Node i mod m by id, or the next capable one in cycle order."""
+    m = len(by_id)
+    for probe in range(m):
+        node = by_id[(i + probe) % m]
+        if task.npe <= node.npe_slots:
+            return node
+    return None
 
 
 def fcfs_schedule(tasks: list[Task], nodes: list[FogNode]) -> Schedule:
     """First come, first served: submission order, earliest-available node."""
-    return _list_schedule(sorted(tasks, key=lambda t: (t.submit_time, t.id)), nodes)
+    order = sorted(tasks, key=lambda t: (t.submit_time, t.id))
+    return _list_schedule(order, nodes, _earliest)
 
 
 def sjf_schedule(tasks: list[Task], nodes: list[FogNode]) -> Schedule:
     """Shortest job first: length order, earliest-available node."""
-    return _list_schedule(sorted(tasks, key=lambda t: (t.length, t.id)), nodes)
+    return _list_schedule(sorted(tasks, key=lambda t: (t.length, t.id)), nodes, _earliest)
 
 
 def rr_schedule(tasks: list[Task], nodes: list[FogNode]) -> Schedule:
-    """Round robin: submission order, node cycled by task index.
-
-    A node too small for the task's npe is skipped in cycle order.
-    """
-    sched = Schedule(selected_rho=1.0)
-    by_id = sorted(nodes, key=lambda n: n.id)
-    state = GapState.fresh(nodes)
-    m = len(by_id)
-    for i, task in enumerate(sorted(tasks, key=lambda t: (t.submit_time, t.id))):
-        node = None
-        for probe in range(m):
-            cand = by_id[(i + probe) % m]
-            if task.npe <= cand.npe_slots:
-                node = cand
-                break
-        if node is None:
-            sched.failed.append(task.id)
-            continue
-        _place(state, task, node, sched)
-    return sched
+    """Round robin: submission order, node cycled by task index, skipping
+    a node too small for the task."""
+    order = sorted(tasks, key=lambda t: (t.submit_time, t.id))
+    return _list_schedule(order, nodes, _rotation)
 
 
 def pso_schedule(tasks: list[Task], nodes: list[FogNode],
@@ -106,20 +107,16 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     Particle positions are real vectors, one dimension per task, decoded by
     clamped rounding into each task's list of capable nodes. Fitness is the
     full-speed energy of the decoded schedule plus a penalty per missed
-    deadline. The global best after the final iteration is rebuilt into a
-    schedule with the shared placement rules.
+    deadline. The list-scheduling loop places the global best after the
+    final iteration, in submission order.
     """
     cfg.validate()
-    sched = Schedule(selected_rho=1.0)
     by_id = sorted(nodes, key=lambda n: n.id)
     order = sorted(tasks, key=lambda t: (t.submit_time, t.id))
     capable = [[j for j, n in enumerate(by_id) if t.npe <= n.npe_slots] for t in order]
     placeable = [i for i, c in enumerate(capable) if c]
-    for i, c in enumerate(capable):
-        if not c:
-            sched.failed.append(order[i].id)
-    if not placeable:
-        return sched
+    if not placeable:  # no task has a node, so there is nothing to search
+        return _list_schedule(order, nodes, lambda *_: None)
 
     dims = len(placeable)
     m = len(by_id)
@@ -221,7 +218,5 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
                 gbest_fit = float(pbest_fit[g])
         chosen = decode(gbest)
 
-    state = GapState.fresh(nodes)
-    for t, i in enumerate(placeable):
-        _place(state, order[i], by_id[int(chosen[t])], sched)
-    return sched
+    node_of = {i: by_id[j] for i, j in zip(placeable, chosen.tolist())}
+    return _list_schedule(order, nodes, lambda i, *_: node_of.get(i))

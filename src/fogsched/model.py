@@ -89,10 +89,6 @@ class FaultModel:
     f_min: float
     d_volt: float | None = None
 
-    @property
-    def volt_sensitivity(self) -> float:
-        return self.d if self.d_volt is None else self.d_volt
-
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -185,9 +181,9 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
 
     Besides each field's range, the quantities every run derives must be
     finite floats: each node's full-speed power, the longest task's run time
-    and energy on each node at every DVFS level, the energy of every task
-    run twice (a primary and a backup) on each node at every level, which
-    bounds any run's total, and the fault rate at the lowest level.
+    on each node at every DVFS level, the energy of every task run twice (a
+    primary and a backup) on each node at every level, which bounds any
+    task's energy and any run's total, and the fault rate at the lowest level.
     """
     from .power import active_power  # both import this module
     from .reliability import fault_rate_freq
@@ -221,11 +217,11 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
         if n.id in seen_node_ids:
             out.append(f"node[{n.id}].id: id must be unique")
         seen_node_ids.add(n.id)
-        if n.mips <= 0:
+        if not n.mips > 0:  # not "<= 0", which passes NaN
             out.append(f"node[{n.id}].mips: mips must be > 0")
-        if n.v_max <= 0:
+        if not n.v_max > 0:
             out.append(f"node[{n.id}].v_max: v_max must be > 0")
-        if n.f_max <= 0:
+        if not n.f_max > 0:
             out.append(f"node[{n.id}].f_max: f_max must be > 0")
         if not 1 <= n.npe_slots <= NPE_MAX:
             out.append(f"node[{n.id}].npe_slots: npe_slots must be in [1, {NPE_MAX}]")
@@ -235,10 +231,10 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             out.append(f"node[{n.id}].load_cap: load_cap must be >= 0")
         if n.static_power < 0:
             out.append(f"node[{n.id}].static_power: static_power must be >= 0")
-        if n.v_max <= 0 or n.f_max <= 0:
+        if not (n.v_max > 0 and n.f_max > 0):  # active_power would raise
             continue
         # GAP normalizes each run's energy by the same run at full speed.
-        full_power = n.activity * n.load_cap * n.v_max * n.v_max * n.f_max + n.static_power
+        full_power = active_power(n, 1.0)
         if full_power == 0:
             out.append(f"node[{n.id}].power: full-speed power must be > 0 "
                        "(activity and load_cap, or static_power)")
@@ -252,10 +248,6 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             if speed == 0 or not math.isfinite(longest / speed):
                 out.append(f"node[{n.id}].mips: the longest task's run time "
                            f"(length / mips) at DVFS level {lowest} must be finite")
-            elif not all(math.isfinite(active_power(n, r) * (longest / (n.mips * r)))
-                         for r in levels):
-                out.append(f"node[{n.id}].power: the longest task's energy must "
-                           "be finite at every DVFS level")
             elif not all(math.isfinite(active_power(n, r) * (twice / (n.mips * r)))
                          for r in levels):
                 out.append(f"node[{n.id}].power: the energy of every task run twice "

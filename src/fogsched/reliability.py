@@ -27,7 +27,8 @@ def fault_rate_volt(fm: FaultModel, node: FogNode, volts: float) -> float:
     """Fault rate (faults/s) at supply voltage volts in (0, v_max]."""
     if not 0.0 < volts <= node.v_max:
         raise ValueError(f"volts {volts} outside (0, {node.v_max}]")
-    return fm.lambda0 * 10.0 ** ((node.v_max - volts) / fm.volt_sensitivity)
+    sensitivity = fm.d if fm.d_volt is None else fm.d_volt
+    return fm.lambda0 * 10.0 ** ((node.v_max - volts) / sensitivity)
 
 
 def reliability(lam: float, t: float) -> float:

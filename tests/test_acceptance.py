@@ -1,6 +1,7 @@
 """End-to-end acceptance suite: one test per shipping criterion, each
 printing a PASS line with its measured evidence (visible with -s)."""
 
+import hashlib
 import math
 import statistics
 import time
@@ -33,11 +34,27 @@ def note(criterion, text):
 def sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep_a")
     cfg = ExperimentConfig(algorithms=ALGOS, sweep="paper", seeds=10,
-                           output_dir=str(out), emit=("csv",), master_seed=2024)
+                           output_dir=str(out), emit=("csv", "svg"), master_seed=2024)
     t0 = time.perf_counter()
     rows = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     return rows, out / "results.csv", elapsed
+
+
+# Fixed sha256 prefixes of the sweep's outputs: results.csv with its wall_ms
+# column dropped, and each chart. A change that moves every number the same
+# way in two runs passes criterion 10 but not this.
+SWEEP_GOLDEN = {
+    "results.csv": "0d768303f391e3df",
+    "act_vs_tasks.svg": "7adc730c990450b3",
+    "act_vs_vms.svg": "c5fea97867f954bb",
+    "awt_vs_tasks.svg": "07f9b62789b1813d",
+    "awt_vs_vms.svg": "03e0ca50f2237b97",
+    "energy_vs_tasks.svg": "eb60e41527703b2a",
+    "energy_vs_vms.svg": "0c3230ab1b3b2546",
+    "power_vs_tasks.svg": "aa091cdb6c124624",
+    "power_vs_vms.svg": "18935d3a7573a73d",
+}
 
 
 def _failures(row):
@@ -269,6 +286,21 @@ def test_c10_sweep_is_byte_deterministic(sweep, tmp_path):
     assert total < 1200.0
     note(10, f"two full sweeps byte-identical outside wall_ms "
              f"({len(rows_a)} rows, {total:.0f} s total)")
+
+
+@pytest.mark.slow
+def test_sweep_matches_golden_digests(sweep):
+    _, csv_path, _ = sweep
+    out = csv_path.parent
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].endswith(",wall_ms")
+    stable = "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()
+    got = {"results.csv": stable}
+    got.update((p.name, p.read_bytes()) for p in out.glob("*.svg"))
+    assert {name: hashlib.sha256(data).hexdigest()[:16]
+            for name, data in got.items()} == SWEEP_GOLDEN
+    note(10, f"results.csv outside wall_ms and {len(got) - 1} charts match their "
+             "golden digests")
 
 
 def test_c11_fault_model_statistics():

@@ -283,3 +283,79 @@ def test_pso_on_one_node_is_fcfs(inst, seed):
     pso = pso_schedule(inst.tasks, nodes, PsoConfig(swarm_size=3, iterations=4), seed=seed)
     fcfs = fcfs_schedule(inst.tasks, nodes)
     assert (pso.entries, pso.failed) == (fcfs.entries, fcfs.failed)
+
+
+def _no_host_tasks_nodes():
+    """Task 3 needs 4 elements and no node has more than 2; the rest fit."""
+    nodes = [make_node(id=1, npe_slots=2), make_node(id=2, mips=1500.0)]
+    tasks = [make_task(id=i, length=700 + 150 * i, npe=npe, deadline=4.0,
+                       submit_time=0.1 * (i % 2))
+             for i, npe in zip(range(1, 7), (1, 2, 4, 1, 2, 1))]
+    return tasks, nodes
+
+
+def _rr_wrap_tasks_nodes():
+    """Node 3 (the last id) is too small for the npe-2 tasks, so RR skips
+    it and wraps to node 1; node 2 is too small for them too."""
+    nodes = [make_node(id=3, npe_slots=1, mips=900.0),
+             make_node(id=1, npe_slots=2, mips=1300.0),
+             make_node(id=2, npe_slots=1, mips=1100.0)]
+    npes = [1, 2, 2, 1, 1, 2, 2, 1]
+    tasks = [make_task(id=i + 1, length=600 + 90 * i, npe=npe,
+                       submit_time=0.02 * i, deadline=3.0)
+             for i, npe in enumerate(npes)]
+    return tasks, nodes
+
+
+def _reverse_tie_tasks_nodes():
+    """Equal nodes given in descending id order: every equal-start tie
+    must still go to the lower id."""
+    nodes = [make_node(id=j) for j in (4, 3, 2, 1)]
+    tasks = [make_task(id=i, length=1000, deadline=5.0, submit_time=0.5 * (i // 3))
+             for i in range(1, 9)]
+    return tasks, nodes
+
+
+def _staggered_multi_slot_tasks_nodes():
+    """Submits that arrive after a node's slots free up, on nodes of 2 and
+    4 elements, so a start is the submit time as often as a slot time."""
+    nodes = [make_node(id=1, npe_slots=4, mips=1200.0),
+             make_node(id=2, npe_slots=2, mips=1700.0)]
+    npes = [3, 1, 2, 4, 1, 2, 1, 3, 2, 1]
+    tasks = [make_task(id=i + 1, length=900 + 211 * (i % 4), npe=npe,
+                       submit_time=0.35 * i, deadline=0.35 * i + 2.0)
+             for i, npe in enumerate(npes)]
+    return tasks, nodes
+
+
+# Fixed digests of the FCFS, SJF and RR entries and failed lists. The
+# hand-built cases pin the failure rule, RR's skip and wrap, the lower-id
+# tie and the submit-time clamp; generate() never makes a task no node
+# can host.
+BASELINE_GOLDEN = [
+    ("no-host", _no_host_tasks_nodes,
+     {"fcfs": "1026c586e5c4f35f", "sjf": "d70156b0df5b1562", "rr": "b6e2f61b4d76510d"}),
+    ("rr-skip-wrap", _rr_wrap_tasks_nodes,
+     {"fcfs": "b1263d7bd6d020ee", "sjf": "b1263d7bd6d020ee", "rr": "3dd47145bbe915ce"}),
+    ("reverse-id-tie", _reverse_tie_tasks_nodes,
+     {"fcfs": "83b0f0e9c6ea157b", "sjf": "83b0f0e9c6ea157b", "rr": "83b0f0e9c6ea157b"}),
+    ("staggered-multi-slot", _staggered_multi_slot_tasks_nodes,
+     {"fcfs": "5dc1baebe3823a3f", "sjf": "3e046bec36a28df6", "rr": "1f6edd208859ce17"}),
+    ("generated", lambda: _generated(n_tasks=40, n_vms=5, seed=21, submit_mode="uniform",
+                                     submit_horizon=0.5),
+     {"fcfs": "5c465fc1e98c3c03", "sjf": "3728e9503a3ac271", "rr": "0637494456c78ddf"}),
+]
+
+LIST_BASELINES = {"fcfs": fcfs_schedule, "sjf": sjf_schedule, "rr": rr_schedule}
+
+
+@pytest.mark.parametrize("name,build,digests", BASELINE_GOLDEN,
+                         ids=[case[0] for case in BASELINE_GOLDEN])
+def test_list_baselines_match_golden_digest(name, build, digests):
+    tasks, nodes = build()
+    got = {}
+    for algorithm, schedule in LIST_BASELINES.items():
+        sched = schedule(tasks, nodes)
+        got[algorithm] = hashlib.sha256(
+            repr((sched.entries, sched.failed)).encode()).hexdigest()[:16]
+    assert got == digests

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -89,7 +90,8 @@ def test_single_broken_invariant_yields_single_error(mutate):
     ({"mips": 1e-310}, {}, "node[1].mips: the longest task's run time (length / mips) "
                            "at DVFS level 0.6 must be finite"),
     ({"mips": 1e-6, "static_power": 1e300}, {},
-     "node[1].power: the longest task's energy must be finite at every DVFS level"),
+     "node[1].power: the energy of every task run twice must be finite at every "
+     "DVFS level"),
     ({}, {"d": 400.0}, "fault_model.d: the fault rate's growth at the lowest DVFS level"),
     ({}, {"lambda0": 1e307, "d": 30.0}, "fault_model.lambda0: the fault rate"),  # inf, no raise
 ])
@@ -98,6 +100,13 @@ def test_derived_quantities_that_overflow_are_named(node_kw, fm_kw, problem):
     errors = check_instance(tasks, [make_node(**node_kw)], dvfs,
                             dataclasses.replace(fm, **fm_kw))
     assert len(errors) == 1 and errors[0].startswith(problem), errors
+
+
+@pytest.mark.parametrize("field", ["mips", "v_max", "f_max"])
+def test_nan_node_rate_is_named_not_raised(field):
+    tasks, _, dvfs, fm = small_instance()
+    errors = check_instance(tasks, [make_node(**{field: math.nan})], dvfs, fm)
+    assert errors == [f"node[1].{field}: {field} must be > 0"]
 
 
 def test_derived_quantities_just_inside_the_float_range_pass():
