@@ -109,6 +109,16 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     full-speed energy of the decoded schedule plus a penalty per missed
     deadline. The list-scheduling loop places the global best after the
     final iteration, in submission order.
+
+    A swarm of s particles run for k iterations may score s * (k + 1)
+    mappings. When the mapping space, the product of the tasks' capable-node
+    counts, fits in that budget, every mapping is scored once up front, s
+    rows per `fitness` call, and particles read their scores from that
+    table; the swarm stops as soon as its global best holds the table's
+    minimum. The output is the same bits either way: a row's score depends
+    on that row alone, the global best moves only on a strictly lower score,
+    and nothing after the loop draws from the rng. Larger spaces, the paper
+    sweep's among them, are scored as the swarm moves.
     """
     cfg.validate()
     by_id = sorted(nodes, key=lambda n: n.id)
@@ -147,9 +157,9 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     for j in range(m):
         fresh[j, : int(slots[j])] = 0.0
 
-    def decode(pos: np.ndarray) -> np.ndarray:
-        """Node index of each task under clamped rounding of pos."""
-        return cand[tix, np.clip(np.rint(pos), 0.0, hi).astype(int)]
+    def columns(pos: np.ndarray) -> np.ndarray:
+        """Each task's capable-node column under clamped rounding of pos."""
+        return np.clip(np.rint(pos), 0.0, hi).astype(int)
 
     def fitness(node: np.ndarray) -> np.ndarray:
         """Vectorized over decoded particles, one row of node indices each:
@@ -187,27 +197,54 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     # mapping, so the swarm has nothing to search.
     chosen = cand[:, 0]
     if hi.any():
+        radix = hi.astype(int) + 1
+        budget = cfg.swarm_size * (cfg.iterations + 1)
+        space = 1
+        for r in radix.tolist():
+            space *= r
+            if space > budget:
+                break
+        table = None
+        if space <= budget:
+            # Few enough mappings for the swarm to score them all: score
+            # each once, numbered by its mixed-radix code, a swarm at a time.
+            stride = np.cumprod(np.concatenate(([1], radix[:-1])))
+            table = np.concatenate([
+                fitness(cand[tix, np.arange(k, min(k + cfg.swarm_size, space))[:, None]
+                             // stride % radix])
+                for k in range(0, space, cfg.swarm_size)])
+        # No score is below -inf, so without a table every iteration runs.
+        floor = -np.inf if table is None else float(table.min())
+
+        def score(cols: np.ndarray) -> np.ndarray:
+            """Score of each row of capable-node columns."""
+            return fitness(cand[tix, cols]) if table is None else table[cols @ stride]
+
         rng = np.random.default_rng(seed)
         pos = rng.random((cfg.swarm_size, dims)) * hi[None, :]
         vel = np.zeros_like(pos)
-        dec = decode(pos)
+        dec = columns(pos)
+        fit = score(dec)
         pbest = pos.copy()
-        pbest_fit = fitness(dec)
-        fit = pbest_fit.copy()
+        pbest_fit = fit.copy()
         g = int(np.argmin(pbest_fit))
         gbest = pbest[g].copy()
         gbest_fit = float(pbest_fit[g])
         for _ in range(cfg.iterations):
+            # gbest moves only on a strictly lower score and nothing after
+            # the loop reads the rng, so stopping at the floor is exact.
+            if gbest_fit == floor:
+                break
             r1 = rng.random(pos.shape)
             r2 = rng.random(pos.shape)
             vel = INERTIA * vel + COGNITIVE * r1 * (pbest - pos) \
                 + SOCIAL * r2 * (gbest[None, :] - pos)
             pos = np.clip(pos + vel, 0.0, hi[None, :])
             # A particle whose decode did not change keeps its score.
-            new = decode(pos)
+            new = columns(pos)
             moved = (new != dec).any(axis=1)
             if moved.any():
-                fit[moved] = fitness(new[moved])
+                fit[moved] = score(new[moved])
             dec = new
             improved = fit < pbest_fit
             pbest[improved] = pos[improved]
@@ -216,7 +253,7 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
             if float(pbest_fit[g]) < gbest_fit:
                 gbest = pbest[g].copy()
                 gbest_fit = float(pbest_fit[g])
-        chosen = decode(gbest)
+        chosen = cand[tix, columns(gbest)]
 
     node_of = {i: by_id[j] for i, j in zip(placeable, chosen.tolist())}
     return _list_schedule(order, nodes, lambda i, *_: node_of.get(i))

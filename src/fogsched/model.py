@@ -200,11 +200,11 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
         if t.id in seen_task_ids:
             out.append(f"task[{t.id}].id: id must be unique")
         seen_task_ids.add(t.id)
-        if t.length <= 0:
+        if not t.length > 0:  # not "<= 0" and the like, which pass NaN
             out.append(f"task[{t.id}].length: length must be > 0")
-        if t.submit_time < 0:
+        if not t.submit_time >= 0:
             out.append(f"task[{t.id}].submit_time: submit_time must be >= 0")
-        elif t.deadline <= t.submit_time:
+        elif not t.deadline > t.submit_time:
             out.append(f"task[{t.id}].deadline: deadline must exceed submit_time")
         if not 1 <= t.npe <= NPE_MAX:
             out.append(f"task[{t.id}].npe: npe must be in [1, {NPE_MAX}]")
@@ -217,7 +217,7 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
         if n.id in seen_node_ids:
             out.append(f"node[{n.id}].id: id must be unique")
         seen_node_ids.add(n.id)
-        if not n.mips > 0:  # not "<= 0", which passes NaN
+        if not n.mips > 0:
             out.append(f"node[{n.id}].mips: mips must be > 0")
         if not n.v_max > 0:
             out.append(f"node[{n.id}].v_max: v_max must be > 0")
@@ -227,9 +227,9 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             out.append(f"node[{n.id}].npe_slots: npe_slots must be in [1, {NPE_MAX}]")
         if not 0.0 <= n.activity <= 1.0:
             out.append(f"node[{n.id}].activity: activity must be in [0, 1]")
-        if n.load_cap < 0:
+        if not n.load_cap >= 0:
             out.append(f"node[{n.id}].load_cap: load_cap must be >= 0")
-        if n.static_power < 0:
+        if not n.static_power >= 0:
             out.append(f"node[{n.id}].static_power: static_power must be >= 0")
         if not (n.v_max > 0 and n.f_max > 0):  # active_power would raise
             continue
@@ -264,13 +264,13 @@ def check_instance(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
             out.append("dvfs.levels: levels must contain 1.0")
 
     fm = fault_model
-    if fm.lambda0 < 0:
+    if not fm.lambda0 >= 0:
         out.append("fault_model.lambda0: lambda0 must be >= 0")
-    if fm.d <= 0:
+    if not fm.d > 0:
         out.append("fault_model.d: d must be > 0")
     if not 0.0 < fm.f_min < 1.0:
         out.append("fault_model.f_min: f_min must lie in (0, 1)")
-    if fm.d_volt is not None and fm.d_volt <= 0:
+    if fm.d_volt is not None and not fm.d_volt > 0:
         out.append("fault_model.d_volt: d_volt must be > 0")
 
     # Cross-check: the fault-rate model is only defined for normalized

@@ -232,6 +232,16 @@ PSO_GOLDEN = [
      PsoConfig(), 10, "2f240b37452388ad"),
     ("partly-single-node", _partly_single_node_tasks_nodes,
      PsoConfig(swarm_size=8, iterations=25), 13, "e5b7102d3a7ea063"),
+    # 18 mappings against a budget of 4 * 21 = 84 scorings: every mapping is
+    # scored up front and no particle reaches the best in 20 iterations.
+    ("table-never-at-floor", lambda: _generated(n_tasks=4, n_vms=3, seed=12),
+     PsoConfig(swarm_size=4, iterations=20), 3, "82d77693b736c21b"),
+    # 27 mappings against budgets of 3 * 9 = 27 (scored up front) and
+    # 2 * 13 = 26 (scored as the swarm moves).
+    ("space-equals-budget", lambda: _generated(n_tasks=3, n_vms=3, seed=11),
+     PsoConfig(swarm_size=3, iterations=8), 1, "49b010e478d7df7a"),
+    ("space-past-budget", lambda: _generated(n_tasks=3, n_vms=3, seed=11),
+     PsoConfig(swarm_size=2, iterations=12), 1, "49b010e478d7df7a"),
 ]
 
 

@@ -109,6 +109,25 @@ def test_nan_node_rate_is_named_not_raised(field):
     assert errors == [f"node[1].{field}: {field} must be > 0"]
 
 
+NAN_FIELDS = [
+    ("task[1].deadline", lambda t, n, f: ([make_task(deadline=math.nan)], n, f)),
+    ("task[1].submit_time", lambda t, n, f: ([make_task(submit_time=math.nan)], n, f)),
+    ("node[1].load_cap", lambda t, n, f: (t, [make_node(load_cap=math.nan)], f)),
+    ("node[1].static_power", lambda t, n, f: (t, [make_node(static_power=math.nan)], f)),
+    ("fault_model.lambda0", lambda t, n, f: (t, n, FaultModel(math.nan, 3.0, 0.5))),
+    ("fault_model.d", lambda t, n, f: (t, n, FaultModel(1e-6, math.nan, 0.5))),
+    ("fault_model.d_volt", lambda t, n, f: (t, n, FaultModel(1e-6, 3.0, 0.5, math.nan))),
+]
+
+
+@pytest.mark.parametrize("field,build", NAN_FIELDS, ids=[case[0] for case in NAN_FIELDS])
+def test_nan_field_is_named(field, build):
+    tasks, nodes, dvfs, fm = small_instance()
+    tasks, nodes, fm = build(tasks, nodes, fm)
+    errors = check_instance(tasks, nodes, dvfs, fm)
+    assert errors and errors[0].startswith(f"{field}: "), errors
+
+
 def test_derived_quantities_just_inside_the_float_range_pass():
     tasks, _, dvfs, fm = small_instance()  # longest task 1500 MI, lowest level 0.6
     slow = make_node(mips=1e-300)  # runs 2.5e303 s at 1.44 W at most
