@@ -17,12 +17,24 @@ primary's node to exclude.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .model import (DvfsConfig, FaultModel, FogNode, Phase, Schedule,
+from .model import (NPE_MAX, DvfsConfig, FaultModel, FogNode, Phase, Schedule,
                     ScheduleEntry, Task)
 from .power import active_power
+
+
+def _retime_slots(lanes: list[float], n: int, t: float, first: int = 0) -> None:
+    """Make the n slots of an ascending lane from index `first` free at t.
+
+    One delete and one splice keep the lane ascending, and give the list that
+    re-inserting t n times with bisect.insort would: the copies land after
+    every slot equal to t.
+    """
+    del lanes[first:first + n]
+    i = bisect_right(lanes, t)
+    lanes[i:i] = [t] * n
 
 
 @dataclass
@@ -31,7 +43,8 @@ class GapState:
 
     node_free holds one ascending next-free-time list per node, one slot per
     processor element; a task occupying k elements starts no earlier than the
-    k-th smallest slot time.
+    k-th smallest slot time. Node tables hold these very lists, so every
+    update is in place: no code may rebind node_free[id].
     """
 
     node_free: dict[int, list[float]] = field(default_factory=dict)
@@ -41,10 +54,7 @@ class GapState:
         return cls(node_free={n.id: [0.0] * n.npe_slots for n in nodes})
 
     def occupy(self, node_id: int, npe: int, completion: float) -> None:
-        lanes = self.node_free[node_id]
-        del lanes[:npe]
-        for _ in range(npe):
-            insort(lanes, completion)
+        _retime_slots(self.node_free[node_id], npe, completion)
 
     def release(self, node_id: int, npe: int, completion: float, now: float) -> None:
         """Free slots reserved until `completion`, making them free at `now`.
@@ -53,15 +63,9 @@ class GapState:
         same lane stays reserved, so capacity is never over-freed.
         """
         lanes = self.node_free[node_id]
-        freed = 0
-        for _ in range(npe):
-            try:
-                lanes.remove(completion)
-            except ValueError:
-                break
-            freed += 1
-        for _ in range(freed):
-            insort(lanes, now)
+        first = bisect_left(lanes, completion)
+        freed = min(npe, bisect_right(lanes, completion, first) - first)
+        _retime_slots(lanes, freed, now, first)
 
 
 def exec_time(task: Task, node: FogNode, rho: float) -> float:
@@ -74,47 +78,56 @@ def edf_sort(tasks: list[Task]) -> list[Task]:
     return sorted(tasks, key=lambda t: (t.deadline, t.submit_time, t.id))
 
 
-def _node_table(nodes: list[FogNode], rho: float):
-    """Per-node constants reused across payoff evaluations at one level."""
-    return [
-        (n.id, n.npe_slots, n.mips * rho, n.mips,
-         active_power(n, rho), active_power(n, 1.0))
-        for n in nodes
-    ]
+def _node_table(nodes: list[FogNode], rho: float, state: GapState):
+    """Per-node constants reused across payoff evaluations at one level,
+    keyed by task width.
+
+    table[k] lists, in the order of `nodes`, a row (node id, the node's lane
+    list in `state`, mips*rho, mips, p_rho, p_full) for each node with at
+    least k slots, for every k from 0 to NPE_MAX or the widest node's slot
+    count, whichever is larger. A wider task has no key, so callers look
+    rows up with table.get(npe, ()). The rows hold state's live lists: the
+    table follows every occupy and release.
+    """
+    rows = [(n.npe_slots, (n.id, state.node_free[n.id], n.mips * rho, n.mips,
+                           active_power(n, rho), active_power(n, 1.0)))
+            for n in nodes]
+    widest = max([NPE_MAX] + [slots for slots, _ in rows])
+    return {k: [row for slots, row in rows if slots >= k]
+            for k in range(widest + 1)}
 
 
-def _best_node(task: Task, table, state: GapState, ready: float,
-               exclude: int | None = None, budget: float = math.inf):
-    """The best-payoff placement of `task` over a node table, or None.
+def _best_node(task: Task, rows, ready: float, exclude: int | None = None,
+               budget: float = math.inf):
+    """The best-payoff placement of `task` over the rows of a node table
+    that have the slots for it (table.get(task.npe, ())), or None.
 
     The candidate start is the later of `ready` and the node's k-th free
-    slot. A node is skipped when it is `exclude`, lacks the slots, or would
-    complete past the deadline. The value is normalized slack minus the
-    energy of this run normalized by the same run at full speed; ties break
-    on lower energy, then on table order. Returns (value, energy, node_id,
-    start, ext).
+    slot. A node is skipped when it is `exclude` or would complete past the
+    deadline. The value is normalized slack minus the energy of this run
+    normalized by the same run at full speed; ties break on lower energy,
+    then on row order. Returns (value, energy, node_id, start, ext).
 
-    A finite `budget` needs a table in descending MIPS order (backup_table):
+    A finite `budget` needs rows in descending MIPS order (backup_table):
     the scan stops at the first node whose run would take at least `budget`
     seconds. That is exact, because fl(mips * rho) and fl(length / x) are
-    monotone, so ext never falls along the table and no later node fits.
+    monotone, so ext never falls along the rows and no later node fits.
     With the default infinite budget only a run time that overflows to inf
     fails that test; such a node is skipped and the scan goes on.
     """
     length = task.length
     deadline = task.deadline
-    npe = task.npe
-    node_free = state.node_free
+    k = task.npe - 1
     best = None
-    for node_id, slots, mips_rho, mips, p_rho, p_full in table:
-        if node_id == exclude or npe > slots:
+    for node_id, lanes, mips_rho, mips, p_rho, p_full in rows:
+        if node_id == exclude:
             continue
         ext = length / mips_rho
         if ext >= budget:  # strict fit inside the remaining budget
-            if budget == math.inf:  # ext overflowed; the table may be unordered
+            if budget == math.inf:  # ext overflowed; the rows may be unordered
                 continue
             break
-        lane_t = node_free[node_id][npe - 1]
+        lane_t = lanes[k]
         start = lane_t if lane_t > ready else ready
         ct = start + ext
         if ct > deadline:
@@ -129,7 +142,8 @@ def _best_node(task: Task, table, state: GapState, ready: float,
 def payoff(task: Task, node: FogNode, rho: float, state: GapState) -> float:
     """Payoff of placing `task` on `node` at rho given the current state;
     -inf when the placement misses the deadline or the node lacks slots."""
-    best = _best_node(task, _node_table([node], rho), state, task.submit_time)
+    rows = _node_table([node], rho, state).get(task.npe, ())
+    best = _best_node(task, rows, task.submit_time)
     return -math.inf if best is None else best[0]
 
 
@@ -144,12 +158,12 @@ def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
     break on lower energy, then on the order of `nodes` (gap_schedule passes
     them by ascending id).
     """
-    table = _node_table(nodes, rho)
+    table = _node_table(nodes, rho, state)
     placed = []
     deferred = []
     energies = []
     for task in tasks:
-        best = _best_node(task, table, state, task.submit_time)
+        best = _best_node(task, table.get(task.npe, ()), task.submit_time)
         if best is None:
             deferred.append(task.id)
             continue
@@ -160,22 +174,23 @@ def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
     return placed, deferred, math.fsum(energies)
 
 
-def backup_table(nodes: list[FogNode], rho: float):
+def backup_table(nodes: list[FogNode], rho: float, state: GapState):
     """The node table map_backups walks: descending computing power, ties by
-    id. Nodes and rho are fixed for a whole run, so build it once."""
-    return _node_table(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho)
+    id. Nodes, rho and state are fixed for a whole run, so build it once."""
+    return _node_table(sorted(nodes, key=lambda n: (-n.mips, n.id)), rho, state)
 
 
 def map_backups(task: Task, table, rho: float, state: GapState,
                 primary_node: int | None, now: float) -> ScheduleEntry | None:
     """Map the cold backup of a task whose primary faulted, detected at `now`.
 
-    Candidate nodes come from `backup_table(nodes, rho)` minus the primary's
-    node (when given); a candidate must both meet the deadline and finish
-    strictly within the budget left, deadline minus now. Returns the backup
+    Candidate nodes come from `backup_table(nodes, rho, state)` minus the
+    primary's node (when given); a candidate must both meet the deadline and
+    finish strictly within the budget left, deadline minus now. Returns the backup
     entry with its slots reserved in `state`, or None when no node fits.
     """
-    best = _best_node(task, table, state, now, primary_node, task.deadline - now)
+    best = _best_node(task, table.get(task.npe, ()), now, primary_node,
+                      task.deadline - now)
     if best is None:
         return None
     _, _, node_id, start, ext = best

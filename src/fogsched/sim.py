@@ -136,7 +136,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     state = gap.GapState.fresh(instance.nodes)
     lanes = state.node_free
     rho = schedule.selected_rho
-    backup_table = gap.backup_table(instance.nodes, rho)
+    backup_table = gap.backup_table(instance.nodes, rho, state)
     lam = fault_rate_freq(fm, rho)
 
     # Every heap key is (time, rank, task id, seq, payload) with a unique

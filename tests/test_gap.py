@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import assignment_of, make_node, make_task
 from fogsched import sim
-from fogsched.gap import (GapState, _best_node, backup_table, edf_sort,
-                          exec_time, gap_schedule, map_backups, map_primaries,
-                          payoff, wgap_schedule)
-from fogsched.model import (DvfsConfig, FaultModel, Phase, ScheduleEntry,
-                            validate_instance)
+from fogsched.gap import (GapState, _best_node, _node_table, backup_table,
+                          edf_sort, exec_time, gap_schedule, map_backups,
+                          map_primaries, payoff, wgap_schedule)
+from fogsched.model import (NPE_MAX, DvfsConfig, FaultModel, Phase,
+                            ScheduleEntry, validate_instance)
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
@@ -95,6 +96,83 @@ def test_payoff_respects_npe_capacity():
     assert payoff(task, node, 1.0, state) == -math.inf
 
 
+@pytest.mark.parametrize("npe, slots", [(9, NPE_MAX), (4, 2)])
+def test_task_wider_than_every_node_is_never_placed(npe, slots):
+    task = make_task(npe=npe, deadline=100.0)
+    nodes = [make_node(id=1, npe_slots=slots), make_node(id=2, npe_slots=slots)]
+    state = GapState.fresh(nodes)
+    assert payoff(task, nodes[0], 1.0, state) == -math.inf
+    assert map_primaries([task], nodes, 1.0, state) == ([], [1], 0.0)
+    table = backup_table(nodes, 1.0, state)
+    assert map_backups(task, table, 1.0, state, None, 0.0) is None
+
+
+def test_node_table_rows_are_the_capable_nodes_in_input_order():
+    # Node 5 is wider than NPE_MAX: only check_instance rejects it, so the
+    # table still offers it to the wider tasks it can hold.
+    nodes = [make_node(id=3, npe_slots=2), make_node(id=1, npe_slots=8),
+             make_node(id=2, npe_slots=1), make_node(id=4, npe_slots=4),
+             make_node(id=5, npe_slots=NPE_MAX + 2)]
+    state = GapState.fresh(nodes)
+    table = _node_table(nodes, 0.8, state)
+    for k in range(NPE_MAX + 4):
+        rows = table.get(k, ())
+        assert [row[0] for row in rows] == [n.id for n in nodes if n.npe_slots >= k]
+        assert all(row[1] is state.node_free[row[0]] for row in rows)
+    # Built before the occupy, the table still sees its new lane values.
+    state.occupy(3, 2, 1.5)
+    task = make_task(npe=2, deadline=10.0)
+    assert table[2][0][1] == [1.5, 1.5]
+    assert _best_node(task, table[2][:1], 0.0)[2:4] == (3, 1.5)
+
+
+def _insort_occupy(lanes, npe, completion):
+    del lanes[:npe]
+    for _ in range(npe):
+        insort(lanes, completion)
+
+
+def _insort_release(lanes, npe, completion, now):
+    freed = 0
+    for _ in range(npe):
+        try:
+            lanes.remove(completion)
+        except ValueError:
+            break
+        freed += 1
+    for _ in range(freed):
+        insort(lanes, now)
+
+
+@st.composite
+def _lane_update(draw):
+    """An ascending lane holding repeated values and 0-3 extra copies of a
+    completion time t, a width from 1 to the lane's length, and a time now."""
+    times = st.integers(0, 8).map(lambda q: q / 4)
+    t = draw(times)
+    lane = sorted(draw(st.lists(times, min_size=1, max_size=8))
+                  + [t] * draw(st.integers(0, 3)))
+    return lane, draw(st.integers(1, len(lane))), t, draw(times)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lane_update())
+def test_lane_splice_matches_the_insort_reference(case):
+    """occupy and release update a lane in place to exactly the list that
+    the insort loops give; release frees 0 to npe copies of t."""
+    lane, npe, t, now = case
+    for update, reference, args in ((GapState.occupy, _insort_occupy, (npe, t)),
+                                    (GapState.release, _insort_release,
+                                     (npe, t, now))):
+        state = GapState({1: lane[:]})
+        live = state.node_free[1]
+        expected = lane[:]
+        reference(expected, *args)
+        update(state, 1, *args)
+        assert state.node_free[1] is live
+        assert live == expected
+
+
 def test_map_primaries_two_task_example():
     tasks, nodes = two_task_instance()
     placed, deferred, _ = map_primaries(edf_sort(tasks), nodes, 1.0,
@@ -139,7 +217,7 @@ def test_map_backups_excludes_primary_node():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1, mips=2000), make_node(id=2)]
     state = GapState.fresh(nodes)
-    entry = map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 0.0)
+    entry = map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 0.0)
     assert entry.node_id == 2
     assert entry.phase is Phase.BACKUP
     assert state.node_free[2] == [entry.completion]
@@ -149,7 +227,7 @@ def test_map_backups_single_node_conflict_fails():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1)]
     state = GapState.fresh(nodes)
-    assert map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 0.0) is None
+    assert map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 0.0) is None
 
 
 def test_map_backups_budget_too_small_fails():
@@ -158,8 +236,8 @@ def test_map_backups_budget_too_small_fails():
     task = make_task(id=1, length=1000, deadline=10.0)
     nodes = [make_node(id=1), make_node(id=2)]
     state = GapState.fresh(nodes)
-    assert map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 9.0) is None
-    entry = map_backups(task, backup_table(nodes, 1.0), 1.0, state, 1, 8.999)
+    assert map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 9.0) is None
+    entry = map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 8.999)
     assert (entry.node_id, entry.start) == (2, 8.999)
 
 
@@ -168,7 +246,7 @@ def test_map_backups_prefers_greater_computing_power():
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)
     state = GapState.fresh([slow, fast])
-    table = backup_table([slow, fast], 1.0)
+    table = backup_table([slow, fast], 1.0, state)
     assert map_backups(task, table, 1.0, state, None, 0.0).node_id == fast.id
 
 
@@ -191,10 +269,10 @@ def test_backup_scan_stops_where_the_full_scan_finds_nothing_more(
         state.occupy(node.id, slots, busy / 4)
     task = make_task(length=length, deadline=4.0, npe=npe)
     budget = task.deadline - now
-    table = backup_table(nodes, rho)
-    fits = [row for row in table if length / row[2] < budget]
-    assert (_best_node(task, table, state, now, exclude, budget)
-            == _best_node(task, fits, state, now, exclude))
+    rows = backup_table(nodes, rho, state).get(npe, ())
+    fits = [row for row in rows if length / row[2] < budget]
+    assert (_best_node(task, rows, now, exclude, budget)
+            == _best_node(task, fits, now, exclude))
 
 
 def test_overflowed_run_time_does_not_end_the_primary_scan():
@@ -222,7 +300,7 @@ def test_deferred_task_has_no_static_backup(n_tasks, n_vms, slack, horizon, seed
     for rho in inst.dvfs.levels:
         state = GapState.fresh(inst.nodes)
         _, deferred, _ = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
-        table = backup_table(inst.nodes, rho)
+        table = backup_table(inst.nodes, rho, state)
         for tid in deferred:
             task = by_id[tid]
             assert map_backups(task, table, rho, state, None, task.submit_time) is None
