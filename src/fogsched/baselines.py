@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import GapState, exec_time
+from .gap import exec_time, fresh_lanes, occupy
 from .model import FogNode, Schedule, ScheduleEntry, Task
 from .power import active_power
 
@@ -43,8 +43,7 @@ def _list_schedule(ordered: list[Task], nodes: list[FogNode], pick) -> Schedule:
     lanes maps a node id to its ascending slot times."""
     sched = Schedule()
     by_id = sorted(nodes, key=lambda n: n.id)
-    state = GapState.fresh(nodes)
-    lanes = state.node_free
+    lanes = fresh_lanes(nodes)
     for i, task in enumerate(ordered):
         node = pick(i, task, by_id, lanes)
         if node is None:
@@ -54,7 +53,7 @@ def _list_schedule(ordered: list[Task], nodes: list[FogNode], pick) -> Schedule:
         start = avail if avail > task.submit_time else task.submit_time
         entry = ScheduleEntry.make(task.id, node.id, start, exec_time(task, node, 1.0), 1.0)
         sched.entries.append(entry)
-        state.occupy(node.id, task.npe, entry.completion)
+        occupy(lanes[node.id], task.npe, entry.completion)
     return sched
 
 

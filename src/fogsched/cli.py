@@ -20,6 +20,7 @@ import csv
 import math
 import sys
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -41,7 +42,7 @@ _SCHEDULERS = {
     "sjf": lambda i, cfg, seed: baselines.sjf_schedule(i.tasks, i.nodes),
     "rr": lambda i, cfg, seed: baselines.rr_schedule(i.tasks, i.nodes),
     "pso": lambda i, cfg, seed: baselines.pso_schedule(
-        i.tasks, i.nodes, cfg.pso, seed=int.from_bytes(seed.encode(), "big") % (2**32)),
+        i.tasks, i.nodes, cfg.pso, seed=zlib.crc32(seed.encode())),
 }
 ALGORITHMS = tuple(_SCHEDULERS)
 EMIT_KINDS = ("csv", "svg", "trace")
@@ -101,6 +102,10 @@ class ExperimentConfig:
                 if getattr(self.workload, key) != getattr(WorkloadSpec, key):
                     raise ValueError(f"workload.{key} is set by each run from "
                                      "master_seed; remove it")
+        if self.instance_path is not None:
+            for key in ("dvfs", "fault_model"):
+                if getattr(self, key) != getattr(ExperimentConfig, key):
+                    raise ValueError(f"{key} is read from the instance file; remove it")
         self.pso.validate()
         validate_instance([], [], self.dvfs, self.fault_model)
 

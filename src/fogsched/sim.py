@@ -133,10 +133,9 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             raise ValueError(f"schedule lists task {tid} both in an entry and as failed")
 
     trace = RunTrace()
-    state = gap.GapState.fresh(instance.nodes)
-    lanes = state.node_free
+    lanes = gap.fresh_lanes(instance.nodes)
     rho = schedule.selected_rho
-    backup_table = gap.backup_table(instance.nodes, rho, state)
+    backup_table = gap.backup_table(instance.nodes, rho, lanes)
     lam = fault_rate_freq(fm, rho)
 
     # Every heap key is (time, rank, task id, seq, payload) with a unique
@@ -157,7 +156,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     new_event = tuple.__new__
     log = trace.events.append
     add_segment = trace.segments.append
-    occupy, release = state.occupy, state.release
+    occupy, release = gap.occupy, gap.release
     sample = sampler.sample
     map_backups = gap.map_backups  # looked up per run, so a wrapper applies
     immediate = detection == "immediate"
@@ -184,7 +183,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                     heappush(heap, (start, _R_START, tid, seq, payload))
                     seq += 1
                     continue
-                occupy(node_id, npe, now + exec_time)
+                occupy(lane, npe, now + exec_time)
             log(new_event(Event, (now, _START, tid, node_id)))
             completion = now + exec_time
             occurred, frac = sample(fault_probability(lam, exec_time))
@@ -214,7 +213,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             add_segment(ScheduleEntry(tid, node_id, started, elapsed, now,
                                       entry.rho, entry.phase))
             if immediate:
-                release(node_id, tasks_by_id[tid].npe, planned_completion, now)
+                release(lanes[node_id], tasks_by_id[tid].npe, planned_completion, now)
                 dispatch_at = now
             else:
                 dispatch_at = planned_completion
@@ -222,8 +221,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 heappush(heap, (dispatch_at, _R_DISPATCH, tid, seq, node_id))
                 seq += 1
         else:  # _R_DISPATCH; the payload is the faulted primary's node
-            backup = map_backups(tasks_by_id[tid], backup_table, rho, state,
-                                 payload, now)
+            backup = map_backups(tasks_by_id[tid], backup_table, rho, payload, now)
             log(new_event(Event, (now, _DISPATCH, tid,
                                   None if backup is None else backup.node_id)))
             if backup is not None:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_node, make_task
-from fogsched import checks, cli, sim
+from fogsched import baselines, checks, cli, sim
 from fogsched.baselines import PsoConfig
 from fogsched.cli import (ALGORITHMS, CSV_COLUMNS, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_USAGE, ExperimentConfig, load_config, main,
@@ -60,7 +60,7 @@ RESULTS_GOLDEN = [
         algorithms=ALGORITHMS, seeds=2,
         workload=WorkloadSpec(n_tasks=16, n_vms=4, submit_mode="uniform",
                               submit_horizon=0.5),
-        fault_model=FaultModel(lambda0=1e-3, d=3.0, f_min=0.5)), "82c89164a7d2acc9"),
+        fault_model=FaultModel(lambda0=1e-3, d=3.0, f_min=0.5)), "ca3124e53b998dff"),
     ("all-deferred", dict(
         algorithms=ALGORITHMS, seeds=1,
         workload=WorkloadSpec(n_tasks=12, n_vms=3, slack_factor_range=(0.1, 0.2))),
@@ -91,6 +91,24 @@ def test_run_generates_each_instance_when_its_cells_run(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "run", spy("run", sim.run))
     run_experiment(small_cfg(tmp_path, seeds=2))
     assert calls == ["generate", "run", "generate", "run"]
+
+
+def test_every_pso_cell_draws_its_own_seed(tmp_path, monkeypatch):
+    """Each (master seed, scenario, replica) cell seeds its own swarm from
+    the whole of its seed string, not only from the "/pso" suffix they share."""
+    seeds = []
+
+    def record(tasks, nodes, cfg, seed):
+        seeds.append(seed)
+        return pso_schedule(tasks, nodes, cfg, seed=seed)
+
+    pso_schedule = baselines.pso_schedule
+    monkeypatch.setattr(baselines, "pso_schedule", record)
+    for master in (1, 2):
+        run_experiment(small_cfg(tmp_path / str(master), algorithms=("pso",),
+                                 seeds=2, master_seed=master))
+    assert len(seeds) == 4 and len(set(seeds)) == 4
+    assert all(0 <= seed < 2**32 for seed in seeds)
 
 
 def test_row_count_matches_grid(tmp_path):
@@ -176,6 +194,47 @@ def test_instance_runs_under_its_own_fault_model(tmp_path):
             output_dir=str(tmp_path / name)))
     assert rows["calm"][0]["reliability_estimate"] == 1.0
     assert rows["storm"][0]["reliability_estimate"] == 0.0
+
+
+@pytest.mark.parametrize("key, block, value", [
+    ("dvfs", {"levels": [1.0]}, DvfsConfig((1.0,))),
+    ("fault_model", {"lambda0": 0.9, "d": 3.0, "f_min": 0.5}, FaultModel(0.9, 3.0, 0.5)),
+])
+def test_instance_beside_a_config_dvfs_or_fault_model_is_usage_error(
+        tmp_path, capsys, key, block, value):
+    """An instance file carries its own levels and fault model, so a config
+    value that the run would ignore beside it exits 1 and names its key,
+    from a config file and from a library caller alike."""
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((0.8, 1.0)),
+                             FaultModel(0.0, 3.0, 0.5))
+    save_instance(inst, str(tmp_path / "inst.json"))
+    (tmp_path / "exp.json").write_text(json.dumps({key: block}))
+    code = main(["run", "--instance", str(tmp_path / "inst.json"),
+                 "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == f"fogsched: bad config: {key} is read from the instance file; remove it\n"
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ValueError, match=f"^{key} is read from the instance file"):
+        ExperimentConfig(instance_path=str(tmp_path / "inst.json"), **{key: value}).validate()
+
+
+def test_instance_beside_a_config_that_spells_out_the_defaults_runs(tmp_path):
+    inst = validate_instance([make_task()], [make_node()], DvfsConfig((0.8, 1.0)),
+                             FaultModel(0.0, 3.0, 0.5))
+    save_instance(inst, str(tmp_path / "inst.json"))
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "dvfs": {"levels": [0.6, 0.7, 0.8, 0.9, 1.0]},
+        "fault_model": {"lambda0": 1e-6, "d": 3.0, "f_min": 0.5}}))
+    run = ["run", "--instance", str(tmp_path / "inst.json"), "--algorithms", "gap"]
+    assert main(run + ["--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(run + ["--out", str(tmp_path / "b")]) == EXIT_OK
+    rows = [list(csv.DictReader((tmp_path / d / "results.csv").read_text().splitlines()))
+            for d in "ab"]
+    for row in rows[0] + rows[1]:
+        del row["wall_ms"]
+    assert rows[0] == rows[1] and rows[0][0]["selected_rho"] == "0.8"
 
 
 def test_instance_record_with_bad_keys_is_io_error(tmp_path, capsys):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import assignment_of, make_node, make_task
 from fogsched import sim
-from fogsched.gap import (GapState, _best_node, _node_table, backup_table,
-                          edf_sort, exec_time, gap_schedule, map_backups,
-                          map_primaries, payoff, wgap_schedule)
+from fogsched.gap import (_best_node, _node_table, backup_table, edf_sort,
+                          exec_time, fresh_lanes, gap_schedule, map_backups,
+                          map_primaries, occupy, payoff, release, wgap_schedule)
 from fogsched.model import (NPE_MAX, DvfsConfig, FaultModel, Phase,
                             ScheduleEntry, validate_instance)
 from fogsched.oracle import exhaustive
@@ -66,45 +66,43 @@ def assignment(placed):
 def test_payoff_infeasible_past_deadline():
     task = make_task(length=2000, deadline=1.0)
     node = make_node(mips=1000)
-    state = GapState.fresh([node])
-    assert payoff(task, node, 1.0, state) == -math.inf
+    assert payoff(task, node, 1.0, fresh_lanes([node])) == -math.inf
 
 
 def test_payoff_worked_example():
     # deadline 2, CT 1 at full speed: slack 0.5 minus energy ratio 1 = -0.5.
     task = make_task(length=1000, deadline=2.0)
     node = make_node(mips=1000)
-    state = GapState.fresh([node])
-    assert payoff(task, node, 1.0, state) == pytest.approx(-0.5, rel=REL)
+    lanes = fresh_lanes([node])
+    assert payoff(task, node, 1.0, lanes) == pytest.approx(-0.5, rel=REL)
     # At half speed CT lands on the deadline, so the slack term is 0 and the
     # payoff is minus the energy ratio alone: 0.5^3 power over 2x the time.
-    assert payoff(task, node, 0.5, state) == pytest.approx(-0.25, rel=REL)
+    assert payoff(task, node, 0.5, lanes) == pytest.approx(-0.25, rel=REL)
 
 
 def test_payoff_prefers_smaller_exec_time():
     task = make_task(length=1000, deadline=3.0)
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)  # same electrical profile
-    state = GapState.fresh([slow, fast])
-    assert payoff(task, fast, 1.0, state) > payoff(task, slow, 1.0, state)
+    lanes = fresh_lanes([slow, fast])
+    assert payoff(task, fast, 1.0, lanes) > payoff(task, slow, 1.0, lanes)
 
 
 def test_payoff_respects_npe_capacity():
     task = make_task(npe=4)
     node = make_node(npe_slots=2)
-    state = GapState.fresh([node])
-    assert payoff(task, node, 1.0, state) == -math.inf
+    assert payoff(task, node, 1.0, fresh_lanes([node])) == -math.inf
 
 
 @pytest.mark.parametrize("npe, slots", [(9, NPE_MAX), (4, 2)])
 def test_task_wider_than_every_node_is_never_placed(npe, slots):
     task = make_task(npe=npe, deadline=100.0)
     nodes = [make_node(id=1, npe_slots=slots), make_node(id=2, npe_slots=slots)]
-    state = GapState.fresh(nodes)
-    assert payoff(task, nodes[0], 1.0, state) == -math.inf
-    assert map_primaries([task], nodes, 1.0, state) == ([], [1], 0.0)
-    table = backup_table(nodes, 1.0, state)
-    assert map_backups(task, table, 1.0, state, None, 0.0) is None
+    lanes = fresh_lanes(nodes)
+    assert payoff(task, nodes[0], 1.0, lanes) == -math.inf
+    assert map_primaries([task], nodes, 1.0, lanes) == ([], [1], 0.0)
+    table = backup_table(nodes, 1.0, lanes)
+    assert map_backups(task, table, 1.0, None, 0.0) is None
 
 
 def test_node_table_rows_are_the_capable_nodes_in_input_order():
@@ -113,17 +111,19 @@ def test_node_table_rows_are_the_capable_nodes_in_input_order():
     nodes = [make_node(id=3, npe_slots=2), make_node(id=1, npe_slots=8),
              make_node(id=2, npe_slots=1), make_node(id=4, npe_slots=4),
              make_node(id=5, npe_slots=NPE_MAX + 2)]
-    state = GapState.fresh(nodes)
-    table = _node_table(nodes, 0.8, state)
+    lanes = fresh_lanes(nodes)
+    table = _node_table(nodes, 0.8, lanes)
     for k in range(NPE_MAX + 4):
         rows = table.get(k, ())
         assert [row[0] for row in rows] == [n.id for n in nodes if n.npe_slots >= k]
-        assert all(row[1] is state.node_free[row[0]] for row in rows)
+        assert all(row[1] is lanes[row[0]] for row in rows)
     # Built before the occupy, the table still sees its new lane values.
-    state.occupy(3, 2, 1.5)
+    occupy(lanes[3], 2, 1.5)
     task = make_task(npe=2, deadline=10.0)
     assert table[2][0][1] == [1.5, 1.5]
-    assert _best_node(task, table[2][:1], 0.0)[2:4] == (3, 1.5)
+    best = _best_node(task, table[2][:1], 0.0)
+    assert best[2:4] == (3, 1.5)
+    assert best[5] is lanes[3]
 
 
 def _insort_occupy(lanes, npe, completion):
@@ -161,22 +161,19 @@ def test_lane_splice_matches_the_insort_reference(case):
     """occupy and release update a lane in place to exactly the list that
     the insort loops give; release frees 0 to npe copies of t."""
     lane, npe, t, now = case
-    for update, reference, args in ((GapState.occupy, _insort_occupy, (npe, t)),
-                                    (GapState.release, _insort_release,
-                                     (npe, t, now))):
-        state = GapState({1: lane[:]})
-        live = state.node_free[1]
+    for update, reference, args in ((occupy, _insort_occupy, (npe, t)),
+                                    (release, _insort_release, (npe, t, now))):
+        live = lane[:]
         expected = lane[:]
         reference(expected, *args)
-        update(state, 1, *args)
-        assert state.node_free[1] is live
+        update(live, *args)
         assert live == expected
 
 
 def test_map_primaries_two_task_example():
     tasks, nodes = two_task_instance()
     placed, deferred, _ = map_primaries(edf_sort(tasks), nodes, 1.0,
-                                        GapState.fresh(nodes))
+                                        fresh_lanes(nodes))
     assert assignment(placed) == {2: 2, 1: 1}
     completion = {tid: start + ext for tid, _, start, ext in placed}
     assert completion[2] == pytest.approx(0.75, rel=REL)
@@ -193,7 +190,7 @@ def test_map_primaries_two_task_example():
 def test_map_primaries_single_task_trivial():
     task = make_task(length=500, deadline=10.0)
     node = make_node()
-    placed, _, _ = map_primaries([task], [node], 1.0, GapState.fresh([node]))
+    placed, _, _ = map_primaries([task], [node], 1.0, fresh_lanes([node]))
     assert assignment(placed) == {1: 1}
 
 
@@ -201,7 +198,7 @@ def test_map_primaries_impossible_task_joins_backup_queue():
     task = make_task(length=5000, deadline=1.0)  # 5 s on the best node
     nodes = [make_node(id=1), make_node(id=2)]
     placed, deferred, energy = map_primaries([task], nodes, 1.0,
-                                             GapState.fresh(nodes))
+                                             fresh_lanes(nodes))
     assert deferred == [1]
     assert not placed and energy == 0.0
 
@@ -216,18 +213,35 @@ def test_map_primaries_tie_breaks_lower_node_id():
 def test_map_backups_excludes_primary_node():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1, mips=2000), make_node(id=2)]
-    state = GapState.fresh(nodes)
-    entry = map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 0.0)
+    lanes = fresh_lanes(nodes)
+    entry = map_backups(task, backup_table(nodes, 1.0, lanes), 1.0, 1, 0.0)
     assert entry.node_id == 2
     assert entry.phase is Phase.BACKUP
-    assert state.node_free[2] == [entry.completion]
+    assert lanes == {1: [0.0], 2: [entry.completion]}
+
+
+def test_map_backups_reserves_on_the_chosen_rows_lane():
+    """map_backups takes no state beside its table: an entry's slots go on
+    the lane list of the row it chose, which is the node's list in the
+    lanes dict, and no other lane moves."""
+    task = make_task(id=1, length=1000, deadline=10.0, npe=2)
+    nodes = [make_node(id=1, mips=2000, npe_slots=4), make_node(id=2, npe_slots=2),
+             make_node(id=3, mips=4000, npe_slots=1)]
+    lanes = fresh_lanes(nodes)
+    table = backup_table(nodes, 1.0, lanes)
+    entry = map_backups(task, table, 1.0, None, 0.0)
+    row = next(row for row in table[2] if row[0] == entry.node_id)
+    assert entry.node_id == 1 and row[1] is lanes[1]
+    assert lanes == {1: [0.0, 0.0, 0.5, 0.5], 2: [0.0, 0.0], 3: [0.0]}
+    entry = map_backups(task, table, 1.0, 1, 0.0)
+    assert (entry.node_id, entry.completion) == (2, 1.0)
+    assert lanes == {1: [0.0, 0.0, 0.5, 0.5], 2: [1.0, 1.0], 3: [0.0]}
 
 
 def test_map_backups_single_node_conflict_fails():
     task = make_task(id=1, length=500, deadline=10.0)
     nodes = [make_node(id=1)]
-    state = GapState.fresh(nodes)
-    assert map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 0.0) is None
+    assert map_backups(task, backup_table(nodes, 1.0, fresh_lanes(nodes)), 1.0, 1, 0.0) is None
 
 
 def test_map_backups_budget_too_small_fails():
@@ -235,9 +249,9 @@ def test_map_backups_budget_too_small_fails():
     # it must fit strictly inside the 1 s left; a moment earlier it does.
     task = make_task(id=1, length=1000, deadline=10.0)
     nodes = [make_node(id=1), make_node(id=2)]
-    state = GapState.fresh(nodes)
-    assert map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 9.0) is None
-    entry = map_backups(task, backup_table(nodes, 1.0, state), 1.0, state, 1, 8.999)
+    table = backup_table(nodes, 1.0, fresh_lanes(nodes))
+    assert map_backups(task, table, 1.0, 1, 9.0) is None
+    entry = map_backups(task, table, 1.0, 1, 8.999)
     assert (entry.node_id, entry.start) == (2, 8.999)
 
 
@@ -245,9 +259,8 @@ def test_map_backups_prefers_greater_computing_power():
     task = make_task(id=1, length=500, deadline=100.0)
     slow = make_node(id=1, mips=1000)
     fast = make_node(id=2, mips=2000)
-    state = GapState.fresh([slow, fast])
-    table = backup_table([slow, fast], 1.0, state)
-    assert map_backups(task, table, 1.0, state, None, 0.0).node_id == fast.id
+    table = backup_table([slow, fast], 1.0, fresh_lanes([slow, fast]))
+    assert map_backups(task, table, 1.0, None, 0.0).node_id == fast.id
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,12 +277,12 @@ def test_backup_scan_stops_where_the_full_scan_finds_nothing_more(
     nodes that fit."""
     nodes = [make_node(id=i + 1, mips=mips, npe_slots=slots)
              for i, (mips, slots, _) in enumerate(rows)]
-    state = GapState.fresh(nodes)
+    lanes = fresh_lanes(nodes)
     for node, (_, slots, busy) in zip(nodes, rows):
-        state.occupy(node.id, slots, busy / 4)
+        occupy(lanes[node.id], slots, busy / 4)
     task = make_task(length=length, deadline=4.0, npe=npe)
     budget = task.deadline - now
-    rows = backup_table(nodes, rho, state).get(npe, ())
+    rows = backup_table(nodes, rho, lanes).get(npe, ())
     fits = [row for row in rows if length / row[2] < budget]
     assert (_best_node(task, rows, now, exclude, budget)
             == _best_node(task, fits, now, exclude))
@@ -280,7 +293,7 @@ def test_overflowed_run_time_does_not_end_the_primary_scan():
     # to node 2, although the id-ordered table is not sorted by MIPS.
     task = make_task(id=1, length=1000, deadline=5.0)
     nodes = [make_node(id=1, mips=1e-310), make_node(id=2)]
-    placed, deferred, _ = map_primaries([task], nodes, 1.0, GapState.fresh(nodes))
+    placed, deferred, _ = map_primaries([task], nodes, 1.0, fresh_lanes(nodes))
     assert (placed, deferred) == ([(1, 2, 0.0, 1.0)], [])
 
 
@@ -298,12 +311,12 @@ def test_deferred_task_has_no_static_backup(n_tasks, n_vms, slack, horizon, seed
                                  seed=seed))
     by_id = {t.id: t for t in inst.tasks}
     for rho in inst.dvfs.levels:
-        state = GapState.fresh(inst.nodes)
-        _, deferred, _ = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, state)
-        table = backup_table(inst.nodes, rho, state)
+        lanes = fresh_lanes(inst.nodes)
+        _, deferred, _ = map_primaries(edf_sort(inst.tasks), inst.nodes, rho, lanes)
+        table = backup_table(inst.nodes, rho, lanes)
         for tid in deferred:
             task = by_id[tid]
-            assert map_backups(task, table, rho, state, None, task.submit_time) is None
+            assert map_backups(task, table, rho, None, task.submit_time) is None
 
 
 def test_gap_schedule_selects_low_rho_when_feasible():
@@ -360,7 +373,7 @@ def test_phase_one_processes_in_deadline_order():
     tasks = [make_task(id=i, deadline=rng.uniform(5, 50), length=100)
              for i in range(30)]
     nodes = [make_node(id=1, npe_slots=1)]
-    placed, _, _ = map_primaries(edf_sort(tasks), nodes, 1.0, GapState.fresh(nodes))
+    placed, _, _ = map_primaries(edf_sort(tasks), nodes, 1.0, fresh_lanes(nodes))
     # Single slot: start order mirrors processing order.
     starts = {tid: start for tid, _, start, _ in placed}
     processed = sorted(starts, key=lambda tid: starts[tid])
@@ -377,7 +390,7 @@ def test_idle_uniform_power_choice_minimizes_exec_time():
                  for j in range(4)]
         task = make_task(length=rng.randint(1000, 2000), deadline=1e9)
         for rho in (0.6, 0.8, 1.0):
-            placed, _, _ = map_primaries([task], nodes, rho, GapState.fresh(nodes))
+            placed, _, _ = map_primaries([task], nodes, rho, fresh_lanes(nodes))
             chosen = assignment(placed)[task.id]
             best_ext = min(exec_time(task, n, rho) for n in nodes)
             chosen_node = next(n for n in nodes if n.id == chosen)
@@ -423,14 +436,14 @@ def test_map_primaries_agrees_with_scalar_payoff():
         inst = _random_instance(rng, max_tasks=12, max_vms=5)
         for rho in (0.6, 1.0):
             fast, _, total = map_primaries(edf_sort(inst.tasks), inst.nodes, rho,
-                                           GapState.fresh(inst.nodes))
+                                           fresh_lanes(inst.nodes))
 
-            ref_state = GapState.fresh(inst.nodes)
+            ref_lanes = fresh_lanes(inst.nodes)
             entries = []
             for task in edf_sort(inst.tasks):
                 best = None
                 for node in sorted(inst.nodes, key=lambda n: n.id):
-                    value = payoff(task, node, rho, ref_state)
+                    value = payoff(task, node, rho, ref_lanes)
                     if value == -math.inf:
                         continue
                     energy = active_power(node, rho) * exec_time(task, node, rho)
@@ -440,11 +453,11 @@ def test_map_primaries_agrees_with_scalar_payoff():
                 if best is None:
                     continue
                 node = best[2]
-                lane = ref_state.node_free[node.id][task.npe - 1]
+                lane = ref_lanes[node.id][task.npe - 1]
                 start = max(lane, task.submit_time)
                 ext = exec_time(task, node, rho)
                 entries.append((task.id, node.id, start, ext))
-                ref_state.occupy(node.id, task.npe, start + ext)
+                occupy(ref_lanes[node.id], task.npe, start + ext)
             assert fast == entries
             assert total == schedule_energy(
                 {n.id: n for n in inst.nodes},
