@@ -86,36 +86,23 @@ def _node_table(nodes: list[FogNode], rho: float, lanes: dict[int, list[float]])
             for k in range(widest + 1)}
 
 
-def _best_node(task: Task, rows, ready: float, exclude: int | None = None,
-               budget: float = math.inf):
+def _best_node(task: Task, rows, ready: float):
     """The best-payoff placement of `task` over the rows of a node table
     that have the slots for it (table.get(task.npe, ())), or None.
 
     The candidate start is the later of `ready` and the node's k-th free
-    slot. A node is skipped when it is `exclude` or would complete past the
-    deadline. The value is normalized slack minus the energy of this run
-    normalized by the same run at full speed; ties break on lower energy,
-    then on row order. Returns (value, energy, node_id, start, ext, lane).
-
-    A finite `budget` needs rows in descending MIPS order (backup_table):
-    the scan stops at the first node whose run would take at least `budget`
-    seconds. That is exact, because fl(mips * rho) and fl(length / x) are
-    monotone, so ext never falls along the rows and no later node fits.
-    With the default infinite budget only a run time that overflows to inf
-    fails that test; such a node is skipped and the scan goes on.
+    slot. A node is skipped when it would complete past the deadline; a run
+    time that overflows to inf is skipped that way too. The value is
+    normalized slack minus the energy of this run normalized by the same
+    run at full speed; ties break on lower energy, then on row order.
+    Returns (value, energy, node_id, start, ext, lane).
     """
     length = task.length
     deadline = task.deadline
     k = task.npe - 1
     best = None
     for node_id, lane, mips_rho, mips, p_rho, p_full in rows:
-        if node_id == exclude:
-            continue
         ext = length / mips_rho
-        if ext >= budget:  # strict fit inside the remaining budget
-            if budget == math.inf:  # ext overflowed; the rows may be unordered
-                continue
-            break
         lane_t = lane[k]
         start = lane_t if lane_t > ready else ready
         ct = start + ext
@@ -178,9 +165,28 @@ def map_backups(task: Task, table, rho: float, primary_node: int | None,
     finish strictly within the budget left, deadline minus now. Returns the
     backup entry with its slots reserved on the chosen row's lane, or None
     when no node fits.
+
+    The table is cut at the first row whose run takes at least that budget,
+    and the scan sees only the rows before the cut. The cut is exact: the
+    rows descend in MIPS and fl(mips * rho) and fl(length / x) are
+    monotone, so the run time never falls along the rows and no later row
+    fits. A run time that overflows to inf never fits. The same argument
+    refuses a dispatch outright when the fastest row does not fit, as three
+    in four of fault-storm's dispatches do. The primary's node is dropped
+    only when it wins the scan, about one scan in nine there: the winner is
+    the first row in table order with the best (value, energy), and
+    dropping any other row leaves it first.
     """
-    best = _best_node(task, table.get(task.npe, ()), now, primary_node,
-                      task.deadline - now)
+    rows = table.get(task.npe, ())
+    length = task.length
+    budget = task.deadline - now
+    if not rows or length / rows[0][2] >= budget:  # not even the fastest row fits
+        return None
+    cut = bisect_left(rows, budget, 1, key=lambda row: length / row[2])
+    head = rows[:cut]
+    best = _best_node(task, head, now)
+    if best is not None and best[2] == primary_node:
+        best = _best_node(task, [row for row in head if row[0] != primary_node], now)
     if best is None:
         return None
     _, _, node_id, start, ext, lane = best

@@ -43,6 +43,17 @@ def entry_energy(node: FogNode, entry: ScheduleEntry) -> float:
 
 def schedule_energy(nodes_by_id: dict[int, FogNode],
                     entries: Iterable[ScheduleEntry]) -> float:
-    """Order-independent total energy (J) over entries."""
-    return math.fsum(entry_energy(nodes_by_id[e.node_id], e) for e in entries)
+    """Order-independent total energy (J) over entries.
 
+    Each entry costs what entry_energy prices, but the power of each
+    (node id, rho) pair is computed once per call: a run has one rho.
+    """
+    power: dict[tuple[int, float], float] = {}
+    terms = []
+    for e in entries:
+        key = (e.node_id, e.rho)
+        p = power.get(key)
+        if p is None:
+            p = power[key] = active_power(nodes_by_id[e.node_id], e.rho)
+        terms.append(p * e.exec_time)
+    return math.fsum(terms)

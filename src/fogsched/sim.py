@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import gap
@@ -112,6 +112,11 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     holds the slot and dispatches at the primary's planned completion.
     A schedule must name only the instance's tasks and nodes and list each
     task at most once, as one entry or as failed.
+
+    The arrivals and planned starts are sorted once, before the loop; only
+    the events the run creates (completions, faults, dispatches, re-queued
+    and backup starts) go through a heap. The backup table is built at the
+    first dispatch, so a run without one never builds it.
     """
     if detection not in DETECTION_MODES:
         raise ValueError(f"unknown detection mode {detection!r}")
@@ -135,21 +140,29 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     trace = RunTrace()
     lanes = gap.fresh_lanes(instance.nodes)
     rho = schedule.selected_rho
-    backup_table = gap.backup_table(instance.nodes, rho, lanes)
+    backup_table = None  # built at the first dispatch; most runs never dispatch
     lam = fault_rate_freq(fm, rho)
 
-    # Every heap key is (time, rank, task id, seq, payload) with a unique
-    # seq, so heapifying the initial events pops them in the same order as
-    # pushing them one by one, and the payload is never compared.
-    initial = chain(
-        ((t.submit_time, _R_ARRIVAL, t.id, ())
-         for t in sorted(instance.tasks, key=lambda x: x.id)),
-        ((e.start, _R_START, e.task_id, (e, False))
-         for e in sorted(schedule.entries, key=lambda x: (x.start, x.task_id))))
-    heap = [(time, rank, task_id, seq, payload)
-            for seq, (time, rank, task_id, payload) in enumerate(initial)]
-    heapq.heapify(heap)
-    seq = len(heap)
+    # Every key is (time, rank, task id, seq, payload) with a unique seq, so
+    # no two keys are equal and the payload is never compared. Arrivals and
+    # planned starts are known up front: they form one list, sorted once,
+    # and the heap holds only the events the run creates. Each step takes
+    # the smaller of the list head and the heap top, which pops every key in
+    # the order one heap of all of them would. seq never orders two planned
+    # keys: two arrivals differ in task id (check_instance rejects a repeated
+    # id), an arrival and a start differ in rank, and two starts differ in
+    # task id (checked above). Nor does it order a planned key against a
+    # created one: a task's created start is pushed only after its planned
+    # start is taken. So the input order of tasks and entries does not matter.
+    planned = [(t.submit_time, _R_ARRIVAL, t.id, seq, ())
+               for seq, t in enumerate(instance.tasks)]
+    planned += [(e.start, _R_START, e.task_id, seq, (e, False))
+                for seq, e in enumerate(schedule.entries, len(planned))]
+    planned.sort()
+    n_planned = len(planned)
+    next_planned = 0
+    heap: list = []
+    seq = n_planned
 
     # The loop runs once per event: everything it calls is bound here once.
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -161,8 +174,12 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     map_backups = gap.map_backups  # looked up per run, so a wrapper applies
     immediate = detection == "immediate"
 
-    while heap:
-        now, rank, tid, _, payload = heappop(heap)
+    while heap or next_planned < n_planned:
+        if heap and (next_planned == n_planned or heap[0] < planned[next_planned]):
+            now, rank, tid, _, payload = heappop(heap)
+        else:
+            now, rank, tid, _, payload = planned[next_planned]
+            next_planned += 1
         if rank == _R_START:
             entry, reserved = payload
             task = tasks_by_id[tid]
@@ -221,6 +238,8 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 heappush(heap, (dispatch_at, _R_DISPATCH, tid, seq, node_id))
                 seq += 1
         else:  # _R_DISPATCH; the payload is the faulted primary's node
+            if backup_table is None:
+                backup_table = gap.backup_table(instance.nodes, rho, lanes)
             backup = map_backups(tasks_by_id[tid], backup_table, rho, payload, now)
             log(new_event(Event, (now, _DISPATCH, tid,
                                   None if backup is None else backup.node_id)))
@@ -244,11 +263,11 @@ def report(schedule: Schedule, trace: RunTrace, instance: Instance) -> MetricsRe
     total_energy = schedule_energy(nodes_by_id, trace.segments)
     first_start: dict[int, float] = {}
     completion: dict[int, float] = {}
-    for e in trace.events:
-        if e.kind is _START:
-            first_start.setdefault(e.task_id, e.time)
-        elif e.kind is _COMPLETION:
-            completion[e.task_id] = e.time
+    for time, kind, tid, _ in trace.events:
+        if kind is _START:
+            first_start.setdefault(tid, time)
+        elif kind is _COMPLETION:
+            completion[tid] = time
     n_done = len(completion)
     if n_done:
         act = math.fsum(completion.values()) / n_done
@@ -314,11 +333,12 @@ def audit(schedule: Schedule, trace: RunTrace, instance: Instance,
           report: MetricsReport) -> list[str]:
     """The invariants of a finished run: node capacity, no backup on its primary's
     node, every rho in (0, 1], segment energies equal to total_energy, and a log in
-    which every task arrives before it starts, every backup dispatch follows a fault
-    of its task, the segments are the windows of the completion and fault events in
-    order, and no task completes twice, completes after two faults or faults three
-    times. Returns violation descriptions naming the task or node (empty when
-    clean). A segment on an unknown node or at a bad rho is reported, not priced."""
+    which event times never decrease, every task arrives before it starts, every
+    backup dispatch follows a fault of its task, the segments are the windows of the
+    completion and fault events in order, and no task completes twice, completes
+    after two faults or faults three times. Returns violation descriptions naming
+    the task or node (empty when clean). A segment on an unknown node or at a bad
+    rho is reported, not priced."""
     problems = check_capacity(trace, instance)
     primary_node = {e.task_id: e.node_id for e in schedule.entries
                     if e.phase is Phase.PRIMARY}
@@ -341,8 +361,13 @@ def audit(schedule: Schedule, trace: RunTrace, instance: Instance,
     arrived: set[int] = set()
     done: Counter[int] = Counter()
     faults: Counter[int] = Counter()
-    for e in trace.events:
+    last = -math.inf
+    for k, e in enumerate(trace.events):
         tid = e.task_id
+        if e.time < last:
+            problems.append(f"event {k} of task {tid} at t={e.time} "
+                            f"follows an event at t={last}")
+        last = e.time
         if e.kind is _ARRIVAL:
             arrived.add(tid)
         elif e.kind is _START and tid not in arrived:

@@ -5,7 +5,7 @@ import random
 from bisect import insort
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assignment_of, make_node, make_task
@@ -264,17 +264,24 @@ def test_map_backups_prefers_greater_computing_power():
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(st.sampled_from([500.0, 1000.0, 1500.0, 2000.0]),
+@given(rows=st.lists(st.tuples(st.sampled_from([1e-310, 500.0, 1000.0, 1500.0, 2000.0]),
                                st.integers(1, 3), st.integers(0, 8)),
                      min_size=1, max_size=6),
        npe=st.integers(1, 3), length=st.integers(500, 4000),
        now=st.integers(0, 8).map(lambda q: q / 4), rho=st.sampled_from([0.6, 1.0]),
        exclude=st.one_of(st.none(), st.integers(1, 6)))
+# Node 2's 1 s run exactly meets the 1 s budget and would meet the deadline
+# exactly: the cut drops it, so with node 1 excluded nothing fits.
+@example(rows=[(2000.0, 1, 0), (1000.0, 1, 0)], npe=1, length=1000, now=3.0,
+         rho=1.0, exclude=1)
+# Node 2's run time overflows to inf; it sorts last and is cut.
+@example(rows=[(1000.0, 1, 0), (1e-310, 1, 0)], npe=1, length=1000, now=0.0,
+         rho=1.0, exclude=None)
 def test_backup_scan_stops_where_the_full_scan_finds_nothing_more(
         rows, npe, length, now, rho, exclude):
-    """map_backups' kernel ends its scan at the first node too slow for the
-    budget; over a descending-MIPS table that equals scanning only the
-    nodes that fit."""
+    """map_backups cuts its table at the first node too slow for the budget;
+    over a descending-MIPS table that equals scanning every node other than
+    the primary's whose run fits strictly inside the budget."""
     nodes = [make_node(id=i + 1, mips=mips, npe_slots=slots)
              for i, (mips, slots, _) in enumerate(rows)]
     lanes = fresh_lanes(nodes)
@@ -282,10 +289,13 @@ def test_backup_scan_stops_where_the_full_scan_finds_nothing_more(
         occupy(lanes[node.id], slots, busy / 4)
     task = make_task(length=length, deadline=4.0, npe=npe)
     budget = task.deadline - now
-    rows = backup_table(nodes, rho, lanes).get(npe, ())
-    fits = [row for row in rows if length / row[2] < budget]
-    assert (_best_node(task, rows, now, exclude, budget)
-            == _best_node(task, fits, now, exclude))
+    table = backup_table(nodes, rho, lanes)
+    fits = [row for row in table.get(npe, ())
+            if length / row[2] < budget and row[0] != exclude]
+    best = _best_node(task, fits, now)
+    entry = map_backups(task, table, rho, exclude, now)
+    assert (None if entry is None else (entry.node_id, entry.start, entry.exec_time)) \
+        == (None if best is None else best[2:5])
 
 
 def test_overflowed_run_time_does_not_end_the_primary_scan():

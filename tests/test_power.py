@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node
 from fogsched.model import ScheduleEntry
@@ -74,6 +76,31 @@ def test_energy_order_independent(ref_node):
     rng.shuffle(shuffled)
     assert schedule_energy({1: ref_node}, entries) \
         == schedule_energy({1: ref_node}, shuffled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments=st.lists(
+    st.tuples(st.sampled_from([1, 2, 3]),
+              st.one_of(st.sampled_from([0.6, 1.0]), st.floats(0.01, 1.0)),
+              st.floats(0.0, 10.0)),
+    min_size=2, max_size=40))
+def test_schedule_energy_prices_each_segment_as_entry_energy(segments):
+    """schedule_energy prices each (node, rho) pair once per call, and its
+    total is exactly the fsum of the entries' own energies."""
+    nodes = {1: make_node(id=1), 2: make_node(id=2, v_max=1.0, static_power=0.3),
+             3: make_node(id=3, f_max=2e9, activity=0.3)}
+    entries = [ScheduleEntry.make(i, node_id, 0.0, t, rho)
+               for i, (node_id, rho, t) in enumerate(segments)]
+    assert schedule_energy(nodes, entries) \
+        == math.fsum(entry_energy(nodes[e.node_id], e) for e in entries)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.2, 1.1, math.nan])
+def test_schedule_energy_rejects_rho_outside_range(ref_node, rho):
+    entries = [ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0),
+               ScheduleEntry.make(2, 1, 0.0, 1.0, rho)]
+    with pytest.raises(ValueError):
+        schedule_energy({1: ref_node}, entries)
 
 
 def test_static_power_added_per_active_second():

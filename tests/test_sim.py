@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_node, make_task, waits_and_completions
+from fogsched import gap
 from fogsched.baselines import PsoConfig, fcfs_schedule, pso_schedule, rr_schedule
 from fogsched.cli import _SCHEDULERS, ALGORITHMS, ExperimentConfig
 from fogsched.gap import gap_schedule, wgap_schedule
@@ -487,11 +488,57 @@ def test_run_invariants_on_generated_cells(cell):
     assert run(sched, inst, inst.fault_model, FaultSampler(seed), detection) == (trace, rep)
 
 
+def test_backup_table_is_built_at_the_first_dispatch(monkeypatch):
+    """A run that dispatches no backup builds no backup table; a run that
+    dispatches several builds it once."""
+    backup_table = gap.backup_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return backup_table(*args)
+
+    monkeypatch.setattr(gap, "backup_table", counted)
+    quiet = _storm_instance(0.0, 40, 1)
+    sched = gap_schedule(quiet.tasks, quiet.nodes, quiet.dvfs)
+    run(sched, quiet, quiet.fault_model, FaultSampler("lazy"))
+    assert calls == []
+    storm = _storm_instance(0.5, 40, 1)
+    sched = gap_schedule(storm.tasks, storm.nodes, storm.dvfs)
+    trace, _ = run(sched, storm, storm.fault_model, FaultSampler("lazy"))
+    assert sum(1 for e in trace.events if e.kind is EventKind.BACKUP_DISPATCH) > 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("detection", DETECTION_MODES)
+def test_run_does_not_depend_on_the_order_of_tasks_or_entries(detection):
+    """Planned events sort by (time, rank, task id), which never ties, so a
+    run is the same whatever order instance.tasks and schedule.entries list
+    them in. Every task arrives at 0, so arrivals and starts tie in time."""
+    fm = FaultModel(lambda0=0.5, d=3.0, f_min=0.5)
+    inst = generate(WorkloadSpec(n_tasks=40, n_vms=4, npe_range=(1, 4),
+                                 submit_mode="uniform", submit_horizon=0.0,
+                                 slack_factor_range=(1.5, 6.0), seed=3),
+                    fault_model=fm)
+    sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
+    expected = run(sched, inst, fm, FaultSampler("order"), detection)
+    assert any(e.kind is EventKind.BACKUP_DISPATCH for e in expected[0].events)
+    rng = random.Random(4)
+    tasks, entries = inst.tasks[:], sched.entries[:]
+    rng.shuffle(tasks)
+    rng.shuffle(entries)
+    shuffled = run(dataclasses.replace(sched, entries=entries),
+                   dataclasses.replace(inst, tasks=tasks), fm, FaultSampler("order"),
+                   detection)
+    assert shuffled == expected
+
+
 @pytest.mark.parametrize("doctor", ["backup-on-primary-node", "energy-one-ulp-off",
                                     "completion-event-removed", "segment-on-unknown-node",
                                     "fault-events-removed", "start-before-arrival",
                                     "rho-out-of-range", "arrival-removed",
-                                    "completion-repeated", "third-fault"])
+                                    "completion-repeated", "third-fault",
+                                    "events-swapped"])
 def test_audit_names_a_doctored_run(doctor):
     inst = _storm_instance(0.5, 40, 1)
     sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
@@ -537,6 +584,13 @@ def test_audit_names_a_doctored_run(doctor):
         fault = next(e for e in trace.events if e.kind is EventKind.FAULT)
         trace.events += [fault, fault]
         problem = f"task {fault.task_id} faulted 3 times"
+    elif doctor == "events-swapped":
+        k = next(k for k, (a, b) in enumerate(zip(trace.events, trace.events[1:]))
+                 if a.time < b.time)
+        trace.events[k:k + 2] = trace.events[k + 1], trace.events[k]
+        later = trace.events[k + 1]
+        problem = (f"event {k + 1} of task {later.task_id} at t={later.time} "
+                   f"follows an event at t={trace.events[k].time}")
     else:
         arrival = next(e for e in trace.events
                        if (e.kind, e.task_id) == (EventKind.ARRIVAL, tid))
