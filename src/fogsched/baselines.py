@@ -22,6 +22,11 @@ from .power import active_power
 # (ICEC 1998) with Kennedy & Eberhart's cognitive and social factors.
 INERTIA, COGNITIVE, SOCIAL = 0.7, 1.5, 1.5
 
+# Lane bytes per fitness call when PSO scores its whole mapping table: 512
+# rows at 2 nodes of 8 slots. Larger blocks cut per-call overhead no further
+# and raise peak RSS.
+TABLE_BLOCK_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -111,9 +116,9 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
 
     A swarm of s particles run for k iterations may score s * (k + 1)
     mappings. When the mapping space, the product of the tasks' capable-node
-    counts, fits in that budget, every mapping is scored once up front, s
-    rows per `fitness` call, and particles read their scores from that
-    table; the swarm stops as soon as its global best holds the table's
+    counts, fits in that budget, every mapping is scored once up front, a
+    block of rows per `fitness` call, and particles read their scores from
+    that table; the swarm stops as soon as its global best holds the table's
     minimum. The output is the same bits either way: a row's score depends
     on that row alone, the global best moves only on a strictly lower score,
     and nothing after the loop draws from the rng. Larger spaces, the paper
@@ -123,9 +128,12 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     by_id = sorted(nodes, key=lambda n: n.id)
     order = sorted(tasks, key=lambda t: (t.submit_time, t.id))
     capable = [[j for j, n in enumerate(by_id) if t.npe <= n.npe_slots] for t in order]
+    if all(len(c) <= 1 for c in capable):
+        # Every particle would decode to the same mapping, so there is
+        # nothing to search.
+        return _list_schedule(order, nodes, lambda i, *_: by_id[capable[i][0]]
+                              if capable[i] else None)
     placeable = [i for i, c in enumerate(capable) if c]
-    if not placeable:  # no task has a node, so there is nothing to search
-        return _list_schedule(order, nodes, lambda *_: None)
 
     dims = len(placeable)
     m = len(by_id)
@@ -157,8 +165,9 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
         fresh[j, : int(slots[j])] = 0.0
 
     def columns(pos: np.ndarray) -> np.ndarray:
-        """Each task's capable-node column under clamped rounding of pos."""
-        return np.clip(np.rint(pos), 0.0, hi).astype(int)
+        """Each task's capable-node column: positions lie in [0, hi] and hi
+        is integral, so rounding needs no clamp."""
+        return np.rint(pos).astype(int)
 
     def fitness(node: np.ndarray) -> np.ndarray:
         """Vectorized over decoded particles, one row of node indices each:
@@ -192,67 +201,67 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
         misses = (ct > deadlines[:, None]).sum(axis=0)
         return total + penalty * misses
 
-    # With one capable node per task every particle decodes to the same
-    # mapping, so the swarm has nothing to search.
-    chosen = cand[:, 0]
-    if hi.any():
-        radix = hi.astype(int) + 1
-        budget = cfg.swarm_size * (cfg.iterations + 1)
-        space = 1
-        for r in radix.tolist():
-            space *= r
-            if space > budget:
-                break
-        table = None
-        if space <= budget:
-            # Few enough mappings for the swarm to score them all: score
-            # each once, numbered by its mixed-radix code, a swarm at a time.
-            stride = np.cumprod(np.concatenate(([1], radix[:-1])))
-            table = np.concatenate([
-                fitness(cand[tix, np.arange(k, min(k + cfg.swarm_size, space))[:, None]
-                             // stride % radix])
-                for k in range(0, space, cfg.swarm_size)])
-        # No score is below -inf, so without a table every iteration runs.
-        floor = -np.inf if table is None else float(table.min())
+    radix = hi.astype(int) + 1
+    budget = cfg.swarm_size * (cfg.iterations + 1)
+    space = 1
+    for r in radix.tolist():
+        space *= r
+        if space > budget:
+            break
+    table = None
+    if space <= budget:
+        # Few enough mappings for the swarm to score them all: score each
+        # once, numbered by its mixed-radix code. Each fitness call takes a
+        # block of rows whose lanes fill about TABLE_BLOCK_BYTES, and at
+        # least a swarm; rows score alone, so the block size moves no bit.
+        stride = np.cumprod(np.concatenate(([1], radix[:-1])))
+        block = max(cfg.swarm_size, TABLE_BLOCK_BYTES // (8 * m * max_slots))
+        table = np.concatenate([
+            fitness(cand[tix, np.arange(k, min(k + block, space))[:, None]
+                         // stride % radix])
+            for k in range(0, space, block)])
+    # No score is below -inf, so without a table every iteration runs.
+    floor = -np.inf if table is None else float(table.min())
 
-        def score(cols: np.ndarray) -> np.ndarray:
-            """Score of each row of capable-node columns."""
-            return fitness(cand[tix, cols]) if table is None else table[cols @ stride]
-
-        rng = np.random.default_rng(seed)
-        pos = rng.random((cfg.swarm_size, dims)) * hi[None, :]
-        vel = np.zeros_like(pos)
-        dec = columns(pos)
-        fit = score(dec)
-        pbest = pos.copy()
-        pbest_fit = fit.copy()
-        g = int(np.argmin(pbest_fit))
-        gbest = pbest[g].copy()
-        gbest_fit = float(pbest_fit[g])
-        for _ in range(cfg.iterations):
-            # gbest moves only on a strictly lower score and nothing after
-            # the loop reads the rng, so stopping at the floor is exact.
-            if gbest_fit == floor:
-                break
-            r1 = rng.random(pos.shape)
-            r2 = rng.random(pos.shape)
-            vel = INERTIA * vel + COGNITIVE * r1 * (pbest - pos) \
-                + SOCIAL * r2 * (gbest[None, :] - pos)
-            pos = np.clip(pos + vel, 0.0, hi[None, :])
+    rng = np.random.default_rng(seed)
+    pos = rng.random((cfg.swarm_size, dims)) * hi[None, :]
+    vel = np.zeros_like(pos)
+    dec = columns(pos)
+    fit = fitness(cand[tix, dec]) if table is None else table[dec @ stride]
+    pbest = pos.copy()
+    pbest_fit = fit.copy()
+    g = pbest_fit.argmin()
+    gbest = pbest[g].copy()
+    gbest_fit = float(pbest_fit[g])
+    for _ in range(cfg.iterations):
+        # gbest moves only on a strictly lower score and nothing after the
+        # loop reads the rng, so stopping at the floor is exact.
+        if gbest_fit == floor:
+            break
+        r1 = rng.random(pos.shape)
+        r2 = rng.random(pos.shape)
+        vel = INERTIA * vel + COGNITIVE * r1 * (pbest - pos) + SOCIAL * r2 * (gbest - pos)
+        # np.clip(pos + vel, 0.0, hi) to the bit without its Python dispatch.
+        # The two differ only on -0.0, which never arises: positions start
+        # at +0.0 or above, and a sum is -0.0 only if both terms are.
+        pos = np.minimum(np.maximum(pos + vel, 0.0), hi)
+        new = columns(pos)
+        if table is not None:
+            fit = table[new @ stride]
+        else:
             # A particle whose decode did not change keeps its score.
-            new = columns(pos)
             moved = (new != dec).any(axis=1)
             if moved.any():
-                fit[moved] = score(new[moved])
+                fit[moved] = fitness(cand[tix, new[moved]])
             dec = new
-            improved = fit < pbest_fit
-            pbest[improved] = pos[improved]
-            pbest_fit = np.where(improved, fit, pbest_fit)
-            g = int(np.argmin(pbest_fit))
-            if float(pbest_fit[g]) < gbest_fit:
-                gbest = pbest[g].copy()
-                gbest_fit = float(pbest_fit[g])
-        chosen = cand[tix, columns(gbest)]
+        improved = fit < pbest_fit
+        pbest[improved] = pos[improved]
+        pbest_fit = np.where(improved, fit, pbest_fit)
+        g = pbest_fit.argmin()
+        if float(pbest_fit[g]) < gbest_fit:
+            gbest = pbest[g].copy()
+            gbest_fit = float(pbest_fit[g])
 
+    chosen = cand[tix, columns(gbest)]
     node_of = {i: by_id[j] for i, j in zip(placeable, chosen.tolist())}
     return _list_schedule(order, nodes, lambda i, *_: node_of.get(i))

@@ -15,6 +15,7 @@ from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
+from itertools import repeat
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -314,16 +315,6 @@ class RecordError(ValueError):
     """A JSON record with an unknown or missing key, or a value of the wrong type."""
 
 
-@cache
-def _schema(cls) -> dict:
-    """{JSON key: (field name, type, required)} of a dataclass, resolved once
-    per class: fields() and type hints per record raised peak RSS."""
-    hints = get_type_hints(cls)
-    return {f.metadata.get("key", f.name): (
-        f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls)}
-
-
 def record_from_dict(cls, doc):
     """Build the dataclass record `cls` from a JSON object.
 
@@ -335,47 +326,118 @@ def record_from_dict(cls, doc):
     int past the float range, in an int field too, would overflow on first use.
     Otherwise RecordError names the path to the offending key.
     """
-    return _convert(cls, doc, cls.__name__)
+    try:
+        return _converter(cls)(doc)
+    except _Mismatch as exc:
+        raise RecordError(cls.__name__ + "".join(reversed(exc.path)) + exc.tail) from None
 
 
-def _convert(tp, value, where: str):
-    if type(value) is tp or (tp is float and type(value) is int):
-        if tp in (int, float) and not abs(value) <= sys.float_info.max:
-            # An int's repr can run to thousands of digits, so name the bound.
-            shown = (repr(value) if type(value) is float
-                     else f"an int past {sys.float_info.max:.2g}")
-            raise RecordError(f"{where} must be a finite number, not {shown}")
-        return value
+class _Mismatch(Exception):
+    """A value its converter rejects. tail is the message after the value's
+    path; each enclosing converter appends its part of the path, innermost
+    first, so a path is built only for a value that is rejected."""
+
+    def __init__(self, tail: str):
+        self.tail = tail
+        self.path: list[str] = []
+
+
+@cache
+def _converter(tp):
+    """The function that checks a JSON value against type tp and returns the
+    field value, built once per type: fields() and type hints per record
+    raised peak RSS, and typing introspection per value cost more than the
+    check."""
     origin, args = get_origin(tp), get_args(tp)
-    if origin in (Union, UnionType):
-        arms = [a for a in args if a is not type(None)]
-        if value is None and len(arms) < len(args):
-            return None
-        if len(arms) == 1:
-            return _convert(arms[0], value, where)
-        if type(value) in arms:  # scalar unions such as int | str
+    shown = str(tp) if origin else tp.__name__
+
+    def reject(value) -> _Mismatch:
+        return _Mismatch(f" must be {shown}, not {value!r}")
+
+    if tp is int or tp is float:
+        accepted = (int, float) if tp is float else (int,)
+
+        def number(value):
+            if type(value) not in accepted:
+                raise reject(value)
+            if not abs(value) <= sys.float_info.max:
+                # An int's repr can run to thousands of digits, so name the bound.
+                bad = (repr(value) if type(value) is float
+                       else f"an int past {sys.float_info.max:.2g}")
+                raise _Mismatch(f" must be a finite number, not {bad}")
             return value
-    elif origin in (tuple, list):
-        items = args if origin is tuple and args[-1] is not Ellipsis else None
-        if type(value) is list and (items is None or len(items) == len(value)):
-            return origin(_convert(items[i] if items else args[0], v, f"{where}[{i}]")
-                          for i, v in enumerate(value))
-    elif is_dataclass(tp):
-        if type(value) is dict:
-            schema = _schema(tp)
-            unknown = sorted(set(value) - schema.keys())
+        return number
+
+    if origin in (Union, UnionType):
+        arms = tuple(a for a in args if a is not type(None))
+        nullable = len(arms) < len(args)
+        if len(arms) == 1:
+            arm = _converter(arms[0])
+            return lambda value: None if value is None else arm(value)
+
+        def union(value):  # scalar unions such as int | str
+            if type(value) in arms or (value is None and nullable):
+                return value
+            raise reject(value)
+        return union
+
+    if origin in (tuple, list):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        items = tuple(map(_converter, args if fixed else args[:1]))
+
+        def sequence(value):
+            if type(value) is not list or (fixed and len(value) != len(items)):
+                raise reject(value)
+            out = []
+            try:
+                for convert, v in zip(items if fixed else repeat(items[0]), value):
+                    out.append(convert(v))
+            except _Mismatch as exc:
+                exc.path.append(f"[{len(out)}]")
+                raise
+            return origin(out)
+        return sequence
+
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        # {JSON key: (field name, converter)}, in field order.
+        plan = {f.metadata.get("key", f.name): (f.name, _converter(hints[f.name]))
+                for f in fields(tp)}
+        required = [f.metadata.get("key", f.name) for f in fields(tp)
+                    if f.default is MISSING and f.default_factory is MISSING]
+
+        def record(value):
+            if type(value) is not dict:
+                raise reject(value)
+            unknown = value.keys() - plan.keys()
             if unknown:
-                raise RecordError(f"{where}: unknown key(s) {', '.join(unknown)}")
-            missing = [k for k, (_, _, required) in schema.items()
-                       if required and k not in value]
+                raise _Mismatch(f": unknown key(s) {', '.join(sorted(unknown))}")
+            missing = [k for k in required if k not in value]
             if missing:
-                raise RecordError(f"{where}: missing key(s) {', '.join(missing)}")
-            return tp(**{schema[k][0]: _convert(schema[k][1], v, f"{where}.{k}")
-                         for k, v in value.items()})
-    elif issubclass(tp, Enum):
-        with suppress(ValueError):
-            return tp(value)
-    raise RecordError(f"{where} must be {tp if origin else tp.__name__}, not {value!r}")
+                raise _Mismatch(f": missing key(s) {', '.join(missing)}")
+            kwargs = {}
+            for k, v in value.items():
+                name, convert = plan[k]
+                try:
+                    kwargs[name] = convert(v)
+                except _Mismatch as exc:
+                    exc.path.append(f".{k}")
+                    raise
+            return tp(**kwargs)
+        return record
+
+    if issubclass(tp, Enum):
+        def member(value):
+            with suppress(ValueError):
+                return tp(value)
+            raise reject(value)
+        return member
+
+    def exact(value):  # str, bool
+        if type(value) is tp:
+            return value
+        raise reject(value)
+    return exact
 
 
 def instance_from_dict(doc: dict) -> Instance:

@@ -1,12 +1,14 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import assignment_of, make_node, make_task
-from fogsched import sim
+from fogsched import baselines, sim
 from fogsched.baselines import (PsoConfig, fcfs_schedule, pso_schedule,
                                 rr_schedule, sjf_schedule)
 from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
@@ -242,6 +244,10 @@ PSO_GOLDEN = [
      PsoConfig(swarm_size=3, iterations=8), 1, "49b010e478d7df7a"),
     ("space-past-budget", lambda: _generated(n_tasks=3, n_vms=3, seed=11),
      PsoConfig(swarm_size=2, iterations=12), 1, "49b010e478d7df7a"),
+    # 2048 mappings on 2 nodes of 7 slots: the table is scored in 4 blocks
+    # of 585 rows.
+    ("table-in-blocks", lambda: _generated(n_tasks=11, n_vms=2, seed=0),
+     PsoConfig(), 0, "7323d62d00901d8d"),
 ]
 
 
@@ -293,6 +299,54 @@ def test_pso_on_one_node_is_fcfs(inst, seed):
     pso = pso_schedule(inst.tasks, nodes, PsoConfig(swarm_size=3, iterations=4), seed=seed)
     fcfs = fcfs_schedule(inst.tasks, nodes)
     assert (pso.entries, pso.failed) == (fcfs.entries, fcfs.failed)
+
+
+def _pso_at_block_sizes(tasks, nodes, cfg, seed):
+    """pso_schedule's output with each table block one swarm, and with the
+    whole table in one block."""
+    out = []
+    for block_bytes in (0, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "TABLE_BLOCK_BYTES", block_bytes)
+            out.append(pso_schedule(tasks, nodes, cfg, seed=seed))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(), swarm=st.integers(2, 6), iterations=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_pso_table_does_not_depend_on_block_size(inst, swarm, iterations, seed):
+    cfg = PsoConfig(swarm_size=swarm, iterations=iterations)
+    one_swarm, whole = _pso_at_block_sizes(inst.tasks, inst.nodes, cfg, seed)
+    assert repr(one_swarm) == repr(whole)
+
+
+def test_pso_golden_table_does_not_depend_on_block_size():
+    name, build, cfg, seed, digest = next(c for c in PSO_GOLDEN if c[0] == "table-in-blocks")
+    for sched in _pso_at_block_sizes(*build(), cfg, seed):
+        assert _pso_digest(sched) == digest
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, 7.0]),
+    st.floats(allow_nan=False, allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 9)),
+                elements=_EDGE_FLOATS),
+       data=st.data())
+def test_pso_clamp_is_np_clip_to_the_bit(x, data):
+    """The swarm's position clamp, np.minimum(np.maximum(x, 0.0), hi), has
+    np.clip(x, 0.0, hi)'s bits on every float but -0.0, and returns no -0.0
+    for them. np.clip's sign for a -0.0 input varies with the array's shape;
+    the swarm never sees one, since its positions start at +0.0 or above
+    and a sum is -0.0 only if both terms are."""
+    hi = data.draw(arrays(np.float64, x.shape[1:], elements=st.integers(0, 7).map(float)))
+    fast = np.minimum(np.maximum(x, 0.0), hi)
+    plain = ~((x == 0.0) & np.signbit(x))
+    assert fast[plain].tobytes() == np.clip(x, 0.0, hi)[plain].tobytes()
+    assert not np.signbit(fast[plain]).any()
 
 
 def _no_host_tasks_nodes():

@@ -6,10 +6,11 @@ import random
 import pytest
 
 from conftest import make_node, make_task
-from fogsched.model import (DvfsConfig, FaultModel, InvalidInstanceError,
+from fogsched.cli import ExperimentConfig
+from fogsched.model import (DvfsConfig, FaultModel, Instance, InvalidInstanceError,
                             Phase, RecordError, check_instance, dumps_instance,
-                            instance_from_dict, load_instance, save_instance,
-                            validate_instance)
+                            instance_from_dict, load_instance, record_from_dict,
+                            save_instance, validate_instance)
 
 
 def small_instance():
@@ -174,6 +175,87 @@ def test_int_past_the_float_range_is_rejected():
     doc["nodes"][0]["f_max"] = 2**1024  # float() of it overflows
     with pytest.raises(RecordError, match=r"nodes\[0\]\.f_max must be a finite number"):
         instance_from_dict(doc)
+
+
+def _instance_doc(*edits):
+    """small_instance() as a JSON document, with each (path, text) edit
+    applied: the value at path becomes the JSON text parsed as json reads it,
+    or is deleted when text is None."""
+    doc = json.loads(dumps_instance(validate_instance(*small_instance())))
+    for (*parent, key), text in edits:
+        target = doc
+        for step in parent:
+            target = target[step]
+        if text is None:
+            del target[key]
+        else:
+            target[key] = json.loads(text)
+    return doc
+
+
+# Bad instance and config documents and the exact RecordError text of each.
+READER_ERRORS = [
+    ("unknown-key", Instance, _instance_doc((("tasks", 1, "color"), '"red"')),
+     "Instance.tasks[1]: unknown key(s) color"),
+    ("unknown-keys-sorted", Instance, _instance_doc((("zzz",), "1"), (("aaa",), "2")),
+     "Instance: unknown key(s) aaa, zzz"),
+    ("missing-key", Instance, _instance_doc((("nodes", 0, "mips"), None)),
+     "Instance.nodes[0]: missing key(s) mips"),
+    ("nested-type", Instance, _instance_doc((("tasks", 1, "npe"), '"2"')),
+     "Instance.tasks[1].npe must be int, not '2'"),
+    ("nan", Instance, _instance_doc((("nodes", 1, "mips"), "NaN")),
+     "Instance.nodes[1].mips must be a finite number, not nan"),
+    ("inf", Instance, _instance_doc((("fault_model", "lambda0"), "Infinity")),
+     "Instance.fault_model.lambda0 must be a finite number, not inf"),
+    ("1e400", Instance, _instance_doc((("tasks", 1, "deadline"), "1e400")),
+     "Instance.tasks[1].deadline must be a finite number, not inf"),
+    ("10**400", Instance, _instance_doc((("tasks", 0, "length"), "1" + "0" * 400)),
+     "Instance.tasks[0].length must be a finite number, not an int past 1.8e+308"),
+    ("true-for-int", Instance, _instance_doc((("tasks", 0, "npe"), "true")),
+     "Instance.tasks[0].npe must be int, not True"),
+    ("bad-role", Instance, _instance_doc((("tasks", 0, "role"), '"spare"')),
+     "Instance.tasks[0].role must be Phase, not 'spare'"),
+    ("optional-int", Instance, _instance_doc((("tasks", 0, "backup_of"), '"x"')),
+     "Instance.tasks[0].backup_of must be int, not 'x'"),
+    ("list-item", Instance, _instance_doc((("dvfs", "levels", 1), '"1.0"')),
+     "Instance.dvfs.levels[1] must be float, not '1.0'"),
+    ("object-for-list", Instance, _instance_doc((("tasks",), "{}")),
+     "Instance.tasks must be list[fogsched.model.Task], not {}"),
+    ("list-for-record", Instance, _instance_doc((("tasks", 0), "[1]")),
+     "Instance.tasks[0] must be Task, not [1]"),
+    ("not-an-object", Instance, [], "Instance must be Instance, not []"),
+    ("config-unknown-key", ExperimentConfig, {"pso": {"swarm": 3}},
+     "ExperimentConfig.pso: unknown key(s) swarm"),
+    ("config-missing-keys", ExperimentConfig, {"fault_model": {"lambda0": 1}},
+     "ExperimentConfig.fault_model: missing key(s) d, f_min"),
+    ("tuple-length", ExperimentConfig, {"workload": {"npe_range": [1, 2, 3]}},
+     "ExperimentConfig.workload.npe_range must be tuple[int, int], not [1, 2, 3]"),
+    ("tuple-item", ExperimentConfig, {"workload": {"npe_range": [1.0, 2]}},
+     "ExperimentConfig.workload.npe_range[0] must be int, not 1.0"),
+    ("tuple-item-inf", ExperimentConfig,
+     {"workload": {"slack_factor_range": [1.0, json.loads("Infinity")]}},
+     "ExperimentConfig.workload.slack_factor_range[1] must be a finite number, not inf"),
+    ("config-true-for-int", ExperimentConfig, {"seeds": True},
+     "ExperimentConfig.seeds must be int, not True"),
+    ("config-big-int", ExperimentConfig, {"pso": {"iterations": 10**400}},
+     "ExperimentConfig.pso.iterations must be a finite number, not an int past 1.8e+308"),
+    ("scalar-union", ExperimentConfig, {"master_seed": 1.5},
+     "ExperimentConfig.master_seed must be int | str, not 1.5"),
+    ("key-metadata", ExperimentConfig, {"instance": 3},
+     "ExperimentConfig.instance must be str, not 3"),
+    ("str-for-tuple", ExperimentConfig, {"algorithms": "gap"},
+     "ExperimentConfig.algorithms must be tuple[str, ...], not 'gap'"),
+    ("tuple-of-str-item", ExperimentConfig, {"emit": ["csv", 3]},
+     "ExperimentConfig.emit[1] must be str, not 3"),
+]
+
+
+@pytest.mark.parametrize("cls,doc,message", [case[1:] for case in READER_ERRORS],
+                         ids=[case[0] for case in READER_ERRORS])
+def test_reader_error_text(cls, doc, message):
+    with pytest.raises(RecordError) as exc:
+        record_from_dict(cls, doc)
+    assert str(exc.value) == message
 
 
 def test_random_single_field_mutations(default_fm):
