@@ -36,8 +36,9 @@ class PsoConfig:
     iterations: int = 100
 
     def validate(self) -> None:
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
+        # 1000 is 33 times the default; far past it the swarm's arrays cannot be allocated.
+        if not 2 <= self.swarm_size <= 1000:
+            raise ValueError("swarm_size must lie in [2, 1000]")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

@@ -3,11 +3,11 @@ fault model, dispatching cold backups at runtime.
 
 Entries run at their planned starts, or at the earliest slot availability
 when a runtime backup has disturbed the plan, never before their submit
-time. Each execution draws a fault with probability 1 - e^(-lambda(rho) *
-exec_time); a faulted primary is re-dispatched through the backup mapper
-against the live node state, a faulted backup (runtime or planned) fails
-the task. Equal (schedule, instance, sampler seed) inputs replay to
-byte-identical traces.
+time. A schedule holds primaries only. Each execution draws a fault with
+probability 1 - e^(-lambda(rho) * exec_time); a faulted primary is
+re-dispatched through the backup mapper against the live node state, a
+faulted backup fails the task. Equal (schedule, instance, sampler seed)
+inputs replay to byte-identical traces.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     detection selects when a primary fault is noticed: "immediate" frees the
     node and dispatches the backup at the fault instant; "at_completion"
     holds the slot and dispatches at the primary's planned completion.
-    A schedule must name only the instance's tasks and nodes and list each
-    task at most once, as one entry or as failed.
+    Task ids must be unique. A schedule must name only the instance's tasks
+    and nodes, list each task at most once, as an entry or as failed, and
+    hold primaries only: backups are dispatched when a primary faults.
 
     The arrivals and planned starts are sorted once, before the loop; only
     the events the run creates (completions, faults, dispatches, re-queued
@@ -121,6 +122,8 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     if detection not in DETECTION_MODES:
         raise ValueError(f"unknown detection mode {detection!r}")
     tasks_by_id = {t.id: t for t in instance.tasks}
+    if len(tasks_by_id) < len(instance.tasks):
+        raise ValueError("instance lists a task id more than once")
     node_ids = {n.id for n in instance.nodes}
     scheduled: set[int] = set()
     for e in schedule.entries:
@@ -130,6 +133,9 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             raise ValueError(f"schedule references unknown node id {e.node_id}")
         if e.task_id in scheduled:
             raise ValueError(f"schedule lists task {e.task_id} in more than one entry")
+        if e.phase is _BACKUP:
+            raise ValueError(f"schedule lists a backup of task {e.task_id}; backups "
+                             "are dispatched when a primary faults")
         scheduled.add(e.task_id)
     for tid in schedule.failed:
         if tid not in tasks_by_id:
@@ -143,26 +149,25 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
     backup_table = None  # built at the first dispatch; most runs never dispatch
     lam = fault_rate_freq(fm, rho)
 
-    # Every key is (time, rank, task id, seq, payload) with a unique seq, so
-    # no two keys are equal and the payload is never compared. Arrivals and
-    # planned starts are known up front: they form one list, sorted once,
-    # and the heap holds only the events the run creates. Each step takes
-    # the smaller of the list head and the heap top, which pops every key in
-    # the order one heap of all of them would. seq never orders two planned
-    # keys: two arrivals differ in task id (check_instance rejects a repeated
-    # id), an arrival and a start differ in rank, and two starts differ in
-    # task id (checked above). Nor does it order a planned key against a
-    # created one: a task's created start is pushed only after its planned
-    # start is taken. So the input order of tasks and entries does not matter.
-    planned = [(t.submit_time, _R_ARRIVAL, t.id, seq, ())
-               for seq, t in enumerate(instance.tasks)]
-    planned += [(e.start, _R_START, e.task_id, seq, (e, False))
-                for seq, e in enumerate(schedule.entries, len(planned))]
+    # Every key is (time, rank, task id, payload). While a run goes, a task
+    # has at most one pending key of each rank: one arrival; its planned
+    # start until that start is taken (a re-queue pushes it again only after
+    # popping it); one completion or fault per execution; one dispatch per
+    # primary fault; and a backup start, which exists only after that
+    # dispatch. Task ids and entries are unique (checked above), so (time,
+    # rank, task id) never ties, in the heap or against the planned list:
+    # the payload is never compared (a tie of two arrivals or two starts
+    # would raise TypeError, not order them silently), and the input order
+    # of tasks and entries does not matter. A START's payload is its entry,
+    # a COMPLETION's (entry, start), a FAULT's (entry, start, elapsed) and a
+    # DISPATCH's the faulted primary's node. Each step takes the smaller of
+    # the planned list's head and the heap top: the order one heap would pop.
+    planned = [(t.submit_time, _R_ARRIVAL, t.id, None) for t in instance.tasks]
+    planned += [(e.start, _R_START, e.task_id, e) for e in schedule.entries]
     planned.sort()
     n_planned = len(planned)
     next_planned = 0
     heap: list = []
-    seq = n_planned
 
     # The loop runs once per event: everything it calls is bound here once.
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -176,16 +181,16 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
 
     while heap or next_planned < n_planned:
         if heap and (next_planned == n_planned or heap[0] < planned[next_planned]):
-            now, rank, tid, _, payload = heappop(heap)
+            now, rank, tid, payload = heappop(heap)
         else:
-            now, rank, tid, _, payload = planned[next_planned]
+            now, rank, tid, payload = planned[next_planned]
             next_planned += 1
         if rank == _R_START:
-            entry, reserved = payload
+            entry = payload
             task = tasks_by_id[tid]
             node_id = entry.node_id
             exec_time = entry.exec_time
-            if not reserved:  # a runtime backup holds its slots from dispatch
+            if entry.phase is not _BACKUP:  # a backup holds its slots from dispatch
                 lane = lanes[node_id]
                 npe = task.npe
                 if npe > len(lane):  # the task fails: it never starts
@@ -197,46 +202,40 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
                 if task.submit_time > start:
                     start = task.submit_time
                 if start > now:
-                    heappush(heap, (start, _R_START, tid, seq, payload))
-                    seq += 1
+                    heappush(heap, (start, _R_START, tid, entry))
                     continue
                 occupy(lane, npe, now + exec_time)
             log(new_event(Event, (now, _START, tid, node_id)))
-            completion = now + exec_time
             occurred, frac = sample(fault_probability(lam, exec_time))
             if occurred:
                 elapsed = frac * exec_time
-                heappush(heap, (now + elapsed, _R_FAULT, tid, seq,
-                                (entry, now, completion, elapsed)))
+                heappush(heap, (now + elapsed, _R_FAULT, tid, (entry, now, elapsed)))
             else:
-                heappush(heap, (completion, _R_COMPLETION, tid, seq,
-                                (entry, now, completion)))
-            seq += 1
+                heappush(heap, (now + exec_time, _R_COMPLETION, tid, (entry, now)))
         elif rank == _R_COMPLETION:
-            entry, started, completion = payload
+            entry, started = payload
             log(new_event(Event, (now, _COMPLETION, tid, entry.node_id)))
-            if started == entry.start and completion == entry.completion:
+            if started == entry.start and now == entry.completion:
                 add_segment(entry)  # ran as planned: the entry is its segment
             else:
-                add_segment(ScheduleEntry(tid, entry.node_id, started,
-                                          entry.exec_time, completion,
-                                          entry.rho, entry.phase))
+                add_segment(ScheduleEntry(tid, entry.node_id, started, entry.exec_time,
+                                          now, entry.rho, entry.phase))
         elif rank == _R_ARRIVAL:
             log(new_event(Event, (now, _ARRIVAL, tid, None)))
         elif rank == _R_FAULT:
-            entry, started, planned_completion, elapsed = payload
+            entry, started, elapsed = payload
             node_id = entry.node_id
             log(new_event(Event, (now, _FAULT, tid, node_id)))
             add_segment(ScheduleEntry(tid, node_id, started, elapsed, now,
                                       entry.rho, entry.phase))
+            end = started + entry.exec_time  # the execution's planned end
             if immediate:
-                release(lanes[node_id], tasks_by_id[tid].npe, planned_completion, now)
+                release(lanes[node_id], tasks_by_id[tid].npe, end, now)
                 dispatch_at = now
             else:
-                dispatch_at = planned_completion
+                dispatch_at = end
             if entry.phase is not _BACKUP:  # a backup's fault ends the task
-                heappush(heap, (dispatch_at, _R_DISPATCH, tid, seq, node_id))
-                seq += 1
+                heappush(heap, (dispatch_at, _R_DISPATCH, tid, node_id))
         else:  # _R_DISPATCH; the payload is the faulted primary's node
             if backup_table is None:
                 backup_table = gap.backup_table(instance.nodes, rho, lanes)
@@ -244,8 +243,7 @@ def run(schedule: Schedule, instance: Instance, fm: FaultModel,
             log(new_event(Event, (now, _DISPATCH, tid,
                                   None if backup is None else backup.node_id)))
             if backup is not None:
-                heappush(heap, (backup.start, _R_START, tid, seq, (backup, True)))
-                seq += 1
+                heappush(heap, (backup.start, _R_START, tid, backup))
 
     return trace, report(schedule, trace, instance)
 

@@ -518,6 +518,8 @@ def test_readme_example_config_parses(tmp_path):
     # A window so short that submit + window rounds back to submit.
     ({"workload": {"slack_factor_range": [1e-300, 1e-300], "submit_mode": "uniform",
                    "submit_horizon": 3.0}}, "slack_factor_range"),
+    # A swarm whose arrays could never be allocated.
+    ({"pso": {"swarm_size": 2**62}}, "swarm_size"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"

@@ -1,15 +1,16 @@
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_node, make_task, waits_and_completions
-from fogsched.gap import gap_schedule
+from fogsched.gap import edf_sort, exec_time, fresh_lanes, gap_schedule, occupy
 from fogsched.model import DvfsConfig, FaultModel, Schedule, ScheduleEntry
-from fogsched.oracle import _level_rows, _place_candidate, exhaustive
+from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
 from fogsched.sim import TaskStatus, run
@@ -58,6 +59,15 @@ def test_empty_tasks_feasible_with_zero_energy():
     assert res.best_energy == 0.0
 
 
+def test_one_node_takes_more_tasks_than_the_recursion_limit():
+    """The search keeps its path in lists, not on the call stack."""
+    n = sys.getrecursionlimit() + 10
+    tasks = [make_task(id=i, length=1, deadline=1e6) for i in range(1, n + 1)]
+    res = exhaustive(tasks, [make_node()], DvfsConfig((1.0,)))
+    assert (res.feasible_count, res.enumerated) == (1, 1)
+    assert res.best_assignment == {i: 1 for i in range(1, n + 1)}
+
+
 def test_prefers_low_level_on_energy():
     task = make_task(length=600, deadline=10.0)
     node = make_node()
@@ -81,17 +91,20 @@ def test_best_schedule_replays_clean_in_simulator():
         res = exhaustive(inst.tasks, inst.nodes, dvfs)
         if not res.feasible:
             continue
-        nodes = sorted(inst.nodes, key=lambda nd: nd.id)
-        index = {nd.id: j for j, nd in enumerate(nodes)}
-        combo = [index[res.best_assignment[t.id]]
-                 for t in sorted(inst.tasks, key=lambda t: t.id)]
-        (rows,) = _level_rows(inst.tasks, nodes, (res.best_rho,))
-        placed = _place_candidate(rows, [nd.npe_slots for nd in nodes], combo)
-        assert placed is not None
-        sched = Schedule(entries=[ScheduleEntry.make(tid, nodes[j].id, start, ext,
-                                                     res.best_rho)
-                                  for tid, j, start, ext in placed],
-                         selected_rho=res.best_rho)
+        # The winner's placement: its tasks in EDF order on their nodes'
+        # lanes, under GAP's slot rule.
+        nodes = {nd.id: nd for nd in inst.nodes}
+        lanes = fresh_lanes(inst.nodes)
+        entries = []
+        for t in edf_sort(inst.tasks):
+            node = nodes[res.best_assignment[t.id]]
+            lane = lanes[node.id]
+            entry = ScheduleEntry.make(t.id, node.id, max(lane[t.npe - 1], t.submit_time),
+                                       exec_time(t, node, res.best_rho), res.best_rho)
+            assert entry.completion <= t.deadline
+            occupy(lane, t.npe, entry.completion)
+            entries.append(entry)
+        sched = Schedule(entries=entries, selected_rho=res.best_rho)
         trace, rep = run(sched, inst, fm, FaultSampler(i))
         deadlines = {t.id: t.deadline for t in inst.tasks}
         assert all(st is TaskStatus.COMPLETED for st in trace.status.values())

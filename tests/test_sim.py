@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sim_reference
 from conftest import make_node, make_task, waits_and_completions
 from fogsched import gap
 from fogsched.baselines import PsoConfig, fcfs_schedule, pso_schedule, rr_schedule
@@ -348,6 +349,16 @@ def test_unknown_ids_rejected():
         run(bogus_node, inst, NO_FAULTS, FaultSampler(1))
 
 
+def test_backup_phase_entry_rejected():
+    """A schedule holds primaries only: backups are dispatched at runtime."""
+    inst = simple_instance([make_task(id=1), make_task(id=2)],
+                           [make_node(id=1), make_node(id=2)])
+    sched = Schedule(entries=[ScheduleEntry.make(1, 1, 0.0, 1.0, 1.0),
+                              ScheduleEntry.make(2, 2, 0.0, 1.0, 1.0, Phase.BACKUP)])
+    with pytest.raises(ValueError, match="backup of task 2; backups are dispatched"):
+        run(sched, inst, NO_FAULTS, FaultSampler(1))
+
+
 def test_task_listed_twice_rejected():
     inst = generate(WorkloadSpec(n_tasks=4, n_vms=2, seed=3), fault_model=NO_FAULTS)
     sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
@@ -358,6 +369,9 @@ def test_task_listed_twice_rejected():
     also_failed = dataclasses.replace(sched, failed=sched.failed + [first.task_id])
     with pytest.raises(ValueError, match=f"task {first.task_id} both in an entry"):
         run(also_failed, inst, NO_FAULTS, FaultSampler(1))
+    repeated = dataclasses.replace(inst, tasks=inst.tasks + inst.tasks[:1])
+    with pytest.raises(ValueError, match="lists a task id more than once"):
+        run(sched, repeated, NO_FAULTS, FaultSampler(1))
 
 
 def test_detection_mode_validated_and_at_completion_runs():
@@ -486,6 +500,43 @@ def test_run_invariants_on_generated_cells(cell):
     trace, rep = run(sched, inst, inst.fault_model, FaultSampler(seed), detection)
     assert audit(sched, trace, inst, rep) == []
     assert run(sched, inst, inst.fault_model, FaultSampler(seed), detection) == (trace, rep)
+
+
+@st.composite
+def differential_cells(draw):
+    """A generated instance of 2-12 tasks on 1-4 nodes, its GAP, FCFS or RR
+    schedule, and a run's inputs. Half the schedules have their starts
+    shifted later, so entries collide on their lanes and slip; with every
+    task submitted at 0, planned starts tie in time."""
+    fm = FaultModel(lambda0=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])), d=3.0, f_min=0.5)
+    spec = WorkloadSpec(n_tasks=draw(st.integers(2, 12)), n_vms=draw(st.integers(1, 4)),
+                        npe_range=(1, draw(st.integers(1, 4))), submit_mode="uniform",
+                        submit_horizon=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                        slack_factor_range=(1.05, draw(st.sampled_from([1.6, 4.0]))),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    inst = generate(spec, fault_model=fm)
+    sched = _SCHEDULERS[draw(st.sampled_from(["gap", "fcfs", "rr"]))](inst, None, "")
+    if draw(st.booleans()):
+        shifts = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                               min_size=len(sched.entries), max_size=len(sched.entries)))
+        sched = dataclasses.replace(sched, entries=[
+            ScheduleEntry.make(e.task_id, e.node_id, e.start + dt, e.exec_time, e.rho)
+            for e, dt in zip(sched.entries, shifts)])
+    return inst, sched, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(DETECTION_MODES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=differential_cells())
+def test_run_matches_the_reference_simulator(cell):
+    """sim.run logs the events and segments of the plain reference loop in
+    tests/sim_reference.py, bit for bit, and its run passes the audit."""
+    inst, sched, seed, detection = cell
+    trace, rep = run(sched, inst, inst.fault_model, FaultSampler(seed), detection)
+    expected = sim_reference.run(sched, inst, inst.fault_model, FaultSampler(seed), detection)
+    assert repr(trace.events) == repr(expected.events)
+    assert repr(trace.segments) == repr(expected.segments)
+    assert repr(rep) == repr(report(sched, expected, inst))
+    assert audit(sched, trace, inst, rep) == []
 
 
 def test_backup_table_is_built_at_the_first_dispatch(monkeypatch):
