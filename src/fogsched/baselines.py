@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import exec_time, fresh_lanes, occupy
+from .gap import _node_table, fresh_lanes, occupy
 from .model import FogNode, Schedule, ScheduleEntry, Task
 from .power import active_power
 
@@ -39,51 +39,56 @@ class PsoConfig:
         # 1000 is 33 times the default; far past it the swarm's arrays cannot be allocated.
         if not 2 <= self.swarm_size <= 1000:
             raise ValueError("swarm_size must lie in [2, 1000]")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        # 10000 is 100 times the default; a run's swarm steps grow linearly
+        # with it, so far past it a run would not end in any useful time.
+        if not 1 <= self.iterations <= 10000:
+            raise ValueError("iterations must lie in [1, 10000]")
 
 
 def _list_schedule(ordered: list[Task], nodes: list[FogNode], pick) -> Schedule:
-    """Place each task of `ordered` on pick(i, task, by_id, lanes): a node
-    with the slots for it, or None to fail it. by_id is `nodes` by id, and
-    lanes maps a node id to its ascending slot times."""
+    """Place each task of `ordered` on pick(i, task, by_id, table): a row
+    of the node table with the slots for it, or None to fail it. by_id is
+    `nodes` by id, and table is gap's node table over it at full speed, so
+    table[0][j] is by_id[j]'s row and holds that node's live lane."""
     sched = Schedule()
     by_id = sorted(nodes, key=lambda n: n.id)
-    lanes = fresh_lanes(nodes)
+    table = _node_table(by_id, 1.0, fresh_lanes(nodes))
     for i, task in enumerate(ordered):
-        node = pick(i, task, by_id, lanes)
-        if node is None:
+        row = pick(i, task, by_id, table)
+        if row is None:
             sched.failed.append(task.id)
             continue
-        avail = lanes[node.id][task.npe - 1]
+        node_id, lane, mips = row[:3]
+        avail = lane[task.npe - 1]
         start = avail if avail > task.submit_time else task.submit_time
-        entry = ScheduleEntry.make(task.id, node.id, start, exec_time(task, node, 1.0), 1.0)
+        entry = ScheduleEntry.make(task.id, node_id, start, task.length / mips, 1.0)
         sched.entries.append(entry)
-        occupy(lanes[node.id], task.npe, entry.completion)
+        occupy(lane, task.npe, entry.completion)
     return sched
 
 
-def _earliest(i: int, task: Task, by_id: list[FogNode], lanes) -> FogNode | None:
-    """The capable node where the task can start first (tie: lower id)."""
-    npe, submit = task.npe, task.submit_time
-    best = None  # (start, node)
-    for node in by_id:
-        if npe > node.npe_slots:
-            continue
-        avail = lanes[node.id][npe - 1]
+def _earliest(i: int, task: Task, by_id: list[FogNode], table):
+    """The capable node's row where the task can start first (tie: lower
+    id). The table's rows for the task's width are exactly the nodes with
+    enough slots, in id order."""
+    k, submit = task.npe - 1, task.submit_time
+    best = None  # (start, row)
+    for row in table.get(task.npe, ()):
+        avail = row[1][k]
         start = avail if avail > submit else submit
         if best is None or start < best[0]:
-            best = (start, node)
+            best = (start, row)
     return None if best is None else best[1]
 
 
-def _rotation(i: int, task: Task, by_id: list[FogNode], lanes) -> FogNode | None:
-    """Node i mod m by id, or the next capable one in cycle order."""
+def _rotation(i: int, task: Task, by_id: list[FogNode], table):
+    """The row of node i mod m by id, or of the next capable one in cycle
+    order."""
     m = len(by_id)
     for probe in range(m):
-        node = by_id[(i + probe) % m]
-        if task.npe <= node.npe_slots:
-            return node
+        j = (i + probe) % m
+        if task.npe <= by_id[j].npe_slots:
+            return table[0][j]
     return None
 
 
@@ -132,8 +137,8 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
     if all(len(c) <= 1 for c in capable):
         # Every particle would decode to the same mapping, so there is
         # nothing to search.
-        return _list_schedule(order, nodes, lambda i, *_: by_id[capable[i][0]]
-                              if capable[i] else None)
+        return _list_schedule(order, nodes, lambda i, task, by_id, table:
+                              table[0][capable[i][0]] if capable[i] else None)
     placeable = [i for i, c in enumerate(capable) if c]
 
     dims = len(placeable)
@@ -264,5 +269,6 @@ def pso_schedule(tasks: list[Task], nodes: list[FogNode],
             gbest_fit = float(pbest_fit[g])
 
     chosen = cand[tix, columns(gbest)]
-    node_of = {i: by_id[j] for i, j in zip(placeable, chosen.tolist())}
-    return _list_schedule(order, nodes, lambda i, *_: node_of.get(i))
+    node_of = dict(zip(placeable, chosen.tolist()))
+    return _list_schedule(order, nodes, lambda i, task, by_id, table:
+                          table[0][node_of[i]] if i in node_of else None)

@@ -7,7 +7,8 @@ normalized energy score with an infeasible floor for deadline misses. A
 task with no feasible node is deferred and fails the static schedule: lanes
 only fill as the pass goes on, so no later placement could meet its
 deadline. The outer loop keeps the level with lexicographically least
-(deferred count, total energy).
+(deferred count, total energy), and stops a level's pass once it defers
+more tasks than a finished level.
 
 Cold backups are a runtime mechanism: when a primary faults, the simulator
 hands map_backups a node table over the live lanes, the fault detection
@@ -69,7 +70,8 @@ def edf_sort(tasks: list[Task]) -> list[Task]:
 
 def _node_table(nodes: list[FogNode], rho: float, lanes: dict[int, list[float]]):
     """Per-node constants reused across payoff evaluations at one level,
-    keyed by task width.
+    keyed by task width. The baselines' list schedule places from it too,
+    at full speed.
 
     table[k] lists, in the order of `nodes`, a row (node id, the node's lane
     in `lanes`, mips*rho, mips, p_rho, p_full) for each node with at
@@ -124,7 +126,7 @@ def payoff(task: Task, node: FogNode, rho: float, lanes: dict[int, list[float]])
 
 
 def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
-                  lanes: dict[int, list[float]]):
+                  lanes: dict[int, list[float]], limit: int | None = None):
     """Map EDF-ordered tasks to their best-payoff nodes at rho, reserving
     each placement's slots in `lanes`.
 
@@ -132,9 +134,11 @@ def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
     time) tuple per assigned task in processing order, the ids of tasks with
     no feasible node, and the placements' total energy. The node choice ties
     break on lower energy, then on the order of `nodes` (gap_schedule passes
-    them by ascending id).
+    them by ascending id). With a limit, the pass stops as soon as more than
+    `limit` tasks are deferred, and the lists hold the tasks visited so far.
     """
     table = _node_table(nodes, rho, lanes)
+    stop = len(tasks) if limit is None else limit
     placed = []
     deferred = []
     energies = []
@@ -142,6 +146,8 @@ def map_primaries(tasks: list[Task], nodes: list[FogNode], rho: float,
         best = _best_node(task, table.get(task.npe, ()), task.submit_time)
         if best is None:
             deferred.append(task.id)
+            if len(deferred) > stop:
+                break
             continue
         _, energy, node_id, start, ext, lane = best
         occupy(lane, task.npe, start + ext)
@@ -205,18 +211,34 @@ def gap_schedule(tasks: list[Task], nodes: list[FogNode], dvfs: DvfsConfig,
     submit-to-deadline window, then id. fault_model is accepted for
     interface symmetry with the simulator but plays no role in the static
     decision.
+
+    The levels run by descending rho, so full speed, which usually defers
+    least, runs first. Each later pass stops as soon as it defers more tasks
+    than the best level finished so far. That is exact: a pass's deferred
+    count never falls and the key compares it first, so a stopped level
+    could never be chosen, and every level with the fewest deferrals runs
+    to the end. The winner is picked among the finished levels in the
+    order of dvfs.levels, replacing the incumbent only on a strictly less
+    key, as a scan over every level would. A level with more deferrals
+    never replaces one with fewer, so the pick is the same even when
+    energies do not compare, such as NaN.
     """
     ordered = edf_sort(tasks)
     by_id = sorted(nodes, key=lambda n: n.id)
-    best = None
-    for rho in dvfs.levels:
-        placed, deferred, energy = map_primaries(ordered, by_id, rho,
-                                                 fresh_lanes(nodes))
-        key = (len(deferred), energy)
-        if best is None or key < best[0]:
-            best = (key, rho, placed, deferred)
-    assert best is not None, "DvfsConfig guarantees at least one level"
-    _, rho, placed, deferred = best
+    levels = dvfs.levels
+    finished = {}
+    limit = None
+    for i in sorted(range(len(levels)), key=lambda i: -levels[i]):
+        placed, deferred, energy = map_primaries(ordered, by_id, levels[i],
+                                                 fresh_lanes(nodes), limit)
+        if limit is None or len(deferred) <= limit:
+            finished[i] = ((len(deferred), energy), placed, deferred)
+            limit = len(deferred)
+    assert finished, "DvfsConfig guarantees at least one level"
+    # min replaces its pick only on a strictly less key.
+    best = min(sorted(finished), key=lambda i: finished[i][0])
+    rho = levels[best]
+    _, placed, deferred = finished[best]
     window = {t.id: (t.deadline - t.submit_time, t.id) for t in tasks}
     return Schedule(
         entries=[ScheduleEntry.make(tid, node_id, start, ext, rho)

@@ -11,7 +11,9 @@ from conftest import assignment_of, make_node, make_task
 from fogsched import baselines, sim
 from fogsched.baselines import (PsoConfig, fcfs_schedule, pso_schedule,
                                 rr_schedule, sjf_schedule)
-from fogsched.model import DvfsConfig, FaultModel, Phase, validate_instance
+from fogsched.gap import exec_time, fresh_lanes, occupy
+from fogsched.model import (DvfsConfig, FaultModel, Phase, Schedule, ScheduleEntry,
+                            validate_instance)
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
@@ -160,6 +162,9 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=1).validate()
     with pytest.raises(ValueError):
         PsoConfig(iterations=0).validate()
+    with pytest.raises(ValueError):
+        PsoConfig(iterations=10001).validate()
+    PsoConfig(swarm_size=1000, iterations=10000).validate()
 
 
 def test_baselines_deterministic():
@@ -167,6 +172,49 @@ def test_baselines_deterministic():
                                  submit_mode="uniform", submit_horizon=3.0))
     for build in (fcfs_schedule, sjf_schedule, rr_schedule):
         assert build(inst.tasks, inst.nodes) == build(inst.tasks, inst.nodes)
+
+
+def _plain_scan_reference(ordered, nodes):
+    """FCFS's and SJF's list schedule with a plain scan: every node in id
+    order, skipping one without the slots, first least start."""
+    sched = Schedule()
+    by_id = sorted(nodes, key=lambda n: n.id)
+    lanes = fresh_lanes(nodes)
+    for task in ordered:
+        best = None
+        for node in by_id:
+            if task.npe > node.npe_slots:
+                continue
+            avail = lanes[node.id][task.npe - 1]
+            start = avail if avail > task.submit_time else task.submit_time
+            if best is None or start < best[0]:
+                best = (start, node)
+        if best is None:
+            sched.failed.append(task.id)
+            continue
+        start, node = best
+        entry = ScheduleEntry.make(task.id, node.id, start, exec_time(task, node, 1.0), 1.0)
+        sched.entries.append(entry)
+        occupy(lanes[node.id], task.npe, entry.completion)
+    return sched
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.integers(1, 40), max_size=6, unique=True), data=st.data())
+def test_fcfs_and_sjf_equal_the_plain_scan(ids, data):
+    """Nodes of 1-8 slots in shuffled input order, and tasks up to 9 wide,
+    so some fit no node; equal submit times and lengths tie."""
+    nodes = [make_node(id=i, mips=data.draw(st.sampled_from([1000.0, 1500.0, 2000.0])),
+                       npe_slots=data.draw(st.integers(1, 8))) for i in ids]
+    tasks = [make_task(id=i + 1, length=data.draw(st.sampled_from([500, 1000, 2000])),
+                       npe=data.draw(st.integers(1, 9)),
+                       submit_time=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                       deadline=5.0)
+             for i in range(data.draw(st.integers(0, 25)))]
+    fcfs_order = sorted(tasks, key=lambda t: (t.submit_time, t.id))
+    sjf_order = sorted(tasks, key=lambda t: (t.length, t.id))
+    assert repr(fcfs_schedule(tasks, nodes)) == repr(_plain_scan_reference(fcfs_order, nodes))
+    assert repr(sjf_schedule(tasks, nodes)) == repr(_plain_scan_reference(sjf_order, nodes))
 
 
 def _mixed_capacity_tasks_nodes():

@@ -520,6 +520,8 @@ def test_readme_example_config_parses(tmp_path):
                    "submit_horizon": 3.0}}, "slack_factor_range"),
     # A swarm whose arrays could never be allocated.
     ({"pso": {"swarm_size": 2**62}}, "swarm_size"),
+    # A swarm that would run for ever.
+    ({"pso": {"iterations": 1000000000000}}, "iterations"),
 ])
 def test_bad_model_settings_are_usage_errors(tmp_path, capsys, doc, needle):
     cfg_path = tmp_path / "exp.json"

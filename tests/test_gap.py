@@ -9,16 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assignment_of, make_node, make_task
-from fogsched import sim
+from fogsched import gap, sim
 from fogsched.gap import (_best_node, _node_table, backup_table, edf_sort,
                           exec_time, fresh_lanes, gap_schedule, map_backups,
                           map_primaries, occupy, payoff, release, wgap_schedule)
-from fogsched.model import (NPE_MAX, DvfsConfig, FaultModel, Phase,
+from fogsched.model import (NPE_MAX, DvfsConfig, FaultModel, Phase, Schedule,
                             ScheduleEntry, validate_instance)
 from fogsched.oracle import exhaustive
 from fogsched.power import schedule_energy
 from fogsched.reliability import FaultSampler
-from fogsched.workload import WorkloadSpec, generate
+from fogsched.workload import (SWEEP_ARRIVALS_PER_SECOND, SWEEP_SLACK, WorkloadSpec,
+                               generate)
 
 REL = 1e-9
 
@@ -203,6 +204,20 @@ def test_map_primaries_impossible_task_joins_backup_queue():
     assert not placed and energy == 0.0
 
 
+def test_map_primaries_stops_past_its_limit():
+    # EDF order is 1, 2, 3, 4; tasks 2 and 4 cannot meet their deadlines.
+    tasks = [make_task(id=1, length=500, deadline=1.0),
+             make_task(id=2, length=5000, deadline=2.0),
+             make_task(id=3, length=500, deadline=3.0),
+             make_task(id=4, length=5000, deadline=4.0)]
+    nodes = [make_node(id=1)]
+    run = {limit: map_primaries(tasks, nodes, 1.0, fresh_lanes(nodes), limit)
+           for limit in (None, 0, 1)}
+    assert [p[0] for p in run[None][0]] == [1, 3] and run[None][1] == [2, 4]
+    assert [p[0] for p in run[0][0]] == [1] and run[0][1] == [2]
+    assert run[1] == run[None]
+
+
 def test_map_primaries_tie_breaks_lower_node_id():
     task = make_task(length=500, deadline=10.0)
     nodes = [make_node(id=2), make_node(id=1)]
@@ -350,6 +365,87 @@ def test_gap_schedule_empty_tasks():
     sched = gap_schedule([], [make_node()], DvfsConfig((0.6, 0.8, 1.0)))
     assert sched.entries == []
     assert sched.selected_rho == 0.6
+
+
+def _every_level_reference(tasks, nodes, dvfs):
+    """gap_schedule without its stop rule: every level's pass runs to the
+    end, and the first least (deferred count, energy) in the order of
+    dvfs.levels wins."""
+    ordered = edf_sort(tasks)
+    by_id = sorted(nodes, key=lambda n: n.id)
+    best = None
+    for rho in dvfs.levels:
+        placed, deferred, energy = map_primaries(ordered, by_id, rho, fresh_lanes(nodes))
+        key = (len(deferred), energy)
+        if best is None or key < best[0]:
+            best = (key, rho, placed, deferred)
+    _, rho, placed, deferred = best
+    window = {t.id: (t.deadline - t.submit_time, t.id) for t in tasks}
+    return Schedule(entries=[ScheduleEntry.make(tid, node_id, start, ext, rho)
+                             for tid, node_id, start, ext in placed],
+                    backup_list=deferred,
+                    failed=sorted(deferred, key=window.__getitem__),
+                    selected_rho=rho)
+
+
+@st.composite
+def _level_cases(draw):
+    """Hand-built nodes whose power per MIPS differs, some with static
+    draw and some of equal MIPS, in shuffled input order; 1-6 levels, not
+    always ascending. A roomy case has deadlines that full speed can
+    usually meet in full, so a lower level stops at its first deferral."""
+    ids = draw(st.lists(st.integers(1, 50), max_size=6, unique=True))
+    nodes = [make_node(id=i, mips=draw(st.sampled_from([1000.0, 1500.0, 2000.0])),
+                       npe_slots=draw(st.integers(1, 8)),
+                       v_max=draw(st.sampled_from([0.9, 1.2])),
+                       f_max=draw(st.sampled_from([1e9, 2e9])),
+                       activity=draw(st.floats(0.2, 0.8)),
+                       static_power=draw(st.sampled_from([0.0, 0.4, 1.5])))
+             for i in ids]
+    roomy = draw(st.booleans())
+    tasks = []
+    for i in range(draw(st.integers(0, 20))):
+        submit = draw(st.floats(0.0, 2.0))
+        window = draw(st.floats(1.2, 1.6) if roomy else st.floats(0.2, 4.0))
+        tasks.append(make_task(id=i + 1, length=draw(st.sampled_from([500, 1000, 2000])),
+                               npe=draw(st.integers(1, 4 if roomy else 9)),
+                               submit_time=submit, deadline=submit + window))
+    levels = draw(st.lists(st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+                           min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        levels.sort()
+    return tasks, nodes, DvfsConfig(tuple(levels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_level_cases())
+@example(case=([make_task(id=1, length=1000, deadline=1.5),
+                make_task(id=2, length=1000, deadline=1.5)],
+               [make_node(id=2), make_node(id=1, static_power=0.4)],
+               DvfsConfig((0.6, 0.8, 1.0))))
+def test_gap_schedule_equals_the_every_level_reference(case):
+    tasks, nodes, dvfs = case
+    assert repr(gap_schedule(tasks, nodes, dvfs)) == repr(_every_level_reference(*case))
+
+
+def test_gap_schedule_stops_levels_that_cannot_win(monkeypatch):
+    inst = generate(WorkloadSpec(n_tasks=400, n_vms=20, slack_factor_range=SWEEP_SLACK,
+                                 submit_mode="uniform",
+                                 submit_horizon=400 / SWEEP_ARRIVALS_PER_SECOND, seed=7))
+    expected = _every_level_reference(inst.tasks, inst.nodes, inst.dvfs)
+    calls = []
+    real = gap._best_node
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gap, "_best_node", counting)
+    sched = gap_schedule(inst.tasks, inst.nodes, inst.dvfs)
+    assert repr(sched) == repr(expected)
+    # Run to the end, every pass would scan each task once: 2000 calls,
+    # where the stopped lower levels leave 1890.
+    assert len(calls) < len(inst.tasks) * len(inst.dvfs.levels)
 
 
 def test_wgap_equals_gap_with_single_level():
